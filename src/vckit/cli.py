@@ -21,9 +21,9 @@ from .bench import (
     run_benchmark,
     write_report,
 )
-from .dimacs import DimacsError, parse_dimacs, write_dimacs
+from .dimacs import parse_dimacs, read_dimacs_file, write_dimacs
 from .generate import gen_planted
-from .graph import Graph, GraphError
+from .graph import Graph
 from .oracle import verify_cover
 from .solver import (
     SolveResult,
@@ -39,8 +39,7 @@ _STRATEGY_CHOICES = [s.value for s in Strategy]
 def _read_graph(path: str) -> Graph:
     if path == "-":
         return parse_dimacs(sys.stdin.read())
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_dimacs(fh.read())
+    return read_dimacs_file(path)
 
 
 def _read_cover(path: str) -> list[int]:
@@ -306,13 +305,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DimacsError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolveTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolveTimeout) as exc:
+        # DimacsError and GraphError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

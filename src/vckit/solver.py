@@ -1,14 +1,16 @@
 """Bounded-search-tree decision procedure for vertex cover.
 
-The solver answers tau(G) <= k by branching on a path u-v-w (two edges
-{u,v}, {v,w} among vertices not yet selected), trying a fixed list of
-ways to cover both edges and recursing with the budget reduced by the
+The solver answers tau(G) <= k by branching on a frontier: a path
+u-v-w (two edges {u,v}, {v,w} among vertices not yet selected) or, for
+the edge strategy, one uncovered edge.  It tries a fixed list of ways
+to cover the frontier and searches each with the budget reduced by the
 number of vertices added.  Search stops at the first success; every
-branch restores the selected set on the way out, so the tree is walked
-with O(n) extra state.
+branch restores the selected set on the way out.  One loop over an
+explicit stack walks the tree for every strategy and budget, with
+O(n + k) extra state and no recursion.
 
 Three interchangeable strategies answer the same predicate and differ
-only in search-tree shape:
+only in their list of branches, and so in search-tree shape:
 
 * paper5 - five branches per path: {u,v}, {u,w}, {v,w}, {v}, {u,v,w},
   in that order.  The default.
@@ -24,8 +26,6 @@ endpoint each.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -191,46 +191,18 @@ def find_frontier(g: Graph, selected) -> FrontierFinding:
     return NoUncoveredEdges()
 
 
-# Budgets at or below this recurse directly on the main stack; larger
-# ones move to a worker thread with a big stack (see _call_on_deep_stack).
-_DIRECT_RECURSION_BUDGET = 500
-_DEEP_STACK_BYTES = 256 * 1024 * 1024
 # Check the deadline every this many nodes; a power of two so the test
 # is a mask.
 _TIME_CHECK_MASK = 255
 
-
-def _call_on_deep_stack(fn, frames: int):
-    """Run fn() where Python recursion `frames` deep cannot overflow.
-
-    The recursion limit only guards the interpreter's own bookkeeping;
-    each Python frame also consumes C stack, which the default 8 MiB
-    thread stack exhausts around ten thousand frames.  A dedicated
-    worker thread with a large stack makes depth limits a matter of
-    memory, not crashes.
-    """
-    limit = frames + 200
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-    result: list = []
-    failure: list[BaseException] = []
-
-    def runner():
-        try:
-            result.append(fn())
-        except BaseException as exc:  # re-raised on the calling thread
-            failure.append(exc)
-
-    old_size = threading.stack_size(_DEEP_STACK_BYTES)
-    try:
-        worker = threading.Thread(target=runner, name="vc-deep-search")
-        worker.start()
-    finally:
-        threading.stack_size(old_size)
-    worker.join()
-    if failure:
-        raise failure[0]
-    return result[0]
+# The ways each strategy covers a frontier, tried in order: each branch
+# lists the positions in the frontier of the vertices it selects.  The
+# frontier is a path (u, v, w) for paper5 and p3, an edge (a, b) for edge.
+_BRANCHES = {
+    Strategy.PAPER_FIVE: ((0, 1), (0, 2), (1, 2), (1,), (0, 1, 2)),
+    Strategy.CLASSIC_P3: ((1,), (0, 2)),
+    Strategy.EDGE_BRANCH: ((0,), (1,)),
+}
 
 
 class BranchSolver:
@@ -252,15 +224,23 @@ class BranchSolver:
         self._flags = self.selected._flags
         self._trail = self.selected._trail
         self._adj = graph.sorted_adjacency
+        self._reset()
+        self._scans = 0
+        self._certificate: frozenset[int] | None = None
+
+    def _reset(self) -> None:
+        """Empty the selection and recompute the counts from the graph.
+
+        Unlike rewinding the trail, this is correct from any state,
+        including one left by an interrupt halfway through _select or
+        _deselect.
+        """
+        self._flags[:] = bytes(len(self._flags))
+        self._trail.clear()
         self._udeg = [len(a) for a in self._adj]
         self._cnt1 = sum(1 for d in self._udeg if d == 1)
         self._cnt2 = sum(1 for d in self._udeg if d >= 2)
         self._ptr = 0
-        self._deadline: float | None = None
-        self._nodes = 0
-        self._max_depth = 0
-        self._scans = 0
-        self._certificate: frozenset[int] | None = None
 
     # -- public session surface -------------------------------------
 
@@ -300,47 +280,32 @@ class BranchSolver:
 
         Requires an empty SelectedSet (a session mid-inspection should
         be unwound first) and leaves it empty again.  time_limit is in
-        seconds; exceeding it raises SolveTimeout with the session state
-        restored.  Budgets beyond a few hundred run on a dedicated
-        big-stack thread, so deep searches (k in the thousands) are
-        safe.
+        seconds; exceeding it raises SolveTimeout.  Any abort (timeout,
+        KeyboardInterrupt) leaves the session empty and usable.  The
+        search keeps its own stack, so any budget runs on the caller's
+        thread without touching the recursion limit.
         """
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
         if self._trail:
             raise RuntimeError("decide() requires an empty SelectedSet")
-        self._nodes = 0
-        self._max_depth = 0
         self._scans = 0
         self._certificate = None
         self._ptr = 0
-        self._deadline = (
-            None if time_limit is None else time.perf_counter() + time_limit
-        )
-        recurse = {
-            Strategy.PAPER_FIVE: self._decide_paper5,
-            Strategy.CLASSIC_P3: self._decide_p3,
-            Strategy.EDGE_BRANCH: self._decide_edge,
-        }[self.strategy]
-
+        deadline = None if time_limit is None else time.perf_counter() + time_limit
         start = time.perf_counter()
         try:
-            if k <= _DIRECT_RECURSION_BUDGET:
-                found = recurse(k, 0)
-            else:
-                found = _call_on_deep_stack(lambda: recurse(k, 0), k + 2)
+            found, nodes, max_depth = self._search(k, deadline)
         except BaseException:
-            # An abort (timeout, interrupt) unwinds past the branch
-            # cleanup; rewind the trail so the session stays usable.
-            while self._trail:
-                self._deselect()
-            self._ptr = 0
+            # An abort (timeout, interrupt) leaves the search mid-branch,
+            # possibly mid-update; rebuild the session from the graph.
+            self._reset()
             raise
         elapsed_ms = (time.perf_counter() - start) * 1000.0
 
         stats = SolveStats(
-            nodes_expanded=self._nodes,
-            max_depth=self._max_depth,
+            nodes_expanded=nodes,
+            max_depth=max_depth,
             triplet_scans=self._scans,
             elapsed_ms=elapsed_ms,
         )
@@ -467,120 +432,71 @@ class BranchSolver:
                             break
         self._certificate = frozenset(cover)
 
-    # -- the three recursions -------------------------------------------
+    # -- the search ------------------------------------------------------
 
-    def _decide_paper5(self, k: int, depth: int) -> bool:
-        self._nodes += 1
-        if depth > self._max_depth:
-            self._max_depth = depth
-        if k < 0:
-            return False
-        if self._deadline is not None and not self._nodes & _TIME_CHECK_MASK:
-            if time.perf_counter() > self._deadline:
-                raise SolveTimeout(f"time limit exceeded after {self._nodes} nodes")
-        entry_ptr = self._ptr
-        found_triplet = self._next_triplet()
-        if found_triplet is None:
-            isolated = self._cnt1 >> 1
-            self._ptr = entry_ptr
-            if isolated <= k:
-                self._capture_certificate(isolated)
-                return True
-            return False
-        u, v, w = found_triplet
+    def _search(self, k: int, deadline: float | None) -> tuple[bool, int, int]:
+        """Depth-first search of the branch tree for budget k; returns
+        (found, nodes_expanded, max_depth).
+
+        Each frame of the explicit stack is [frontier, branch_index,
+        budget, entry_ptr] for one expanded node; the trail holds the
+        vertices of the branch in flight at every level.  Every child
+        counts as a node, including k < 0 dead ends, so nodes_expanded
+        and max_depth describe the whole tree the branching rule visits.
+        """
+        branches = _BRANCHES[self.strategy]
+        scan = (
+            self._next_uncovered_edge
+            if self.strategy is Strategy.EDGE_BRANCH
+            else self._next_triplet
+        )
         select = self._select
         deselect = self._deselect
-        child = depth + 1
-        select(u)
-        select(v)
-        found = self._decide_paper5(k - 2, child)
-        deselect()
-        deselect()
-        if not found:
-            select(u)
-            select(w)
-            found = self._decide_paper5(k - 2, child)
-            deselect()
-            deselect()
-        if not found:
-            select(v)
-            select(w)
-            found = self._decide_paper5(k - 2, child)
-            deselect()
-            deselect()
-        if not found:
-            select(v)
-            found = self._decide_paper5(k - 1, child)
-            deselect()
-        if not found:
-            select(u)
-            select(v)
-            select(w)
-            found = self._decide_paper5(k - 3, child)
-            deselect()
-            deselect()
-            deselect()
-        self._ptr = entry_ptr
-        return found
-
-    def _decide_p3(self, k: int, depth: int) -> bool:
-        self._nodes += 1
-        if depth > self._max_depth:
-            self._max_depth = depth
-        if k < 0:
-            return False
-        if self._deadline is not None and not self._nodes & _TIME_CHECK_MASK:
-            if time.perf_counter() > self._deadline:
-                raise SolveTimeout(f"time limit exceeded after {self._nodes} nodes")
-        entry_ptr = self._ptr
-        found_triplet = self._next_triplet()
-        if found_triplet is None:
-            isolated = self._cnt1 >> 1
-            self._ptr = entry_ptr
-            if isolated <= k:
-                self._capture_certificate(isolated)
-                return True
-            return False
-        u, v, w = found_triplet
-        child = depth + 1
-        self._select(v)
-        found = self._decide_p3(k - 1, child)
-        self._deselect()
-        if not found:
-            self._select(u)
-            self._select(w)
-            found = self._decide_p3(k - 2, child)
-            self._deselect()
-            self._deselect()
-        self._ptr = entry_ptr
-        return found
-
-    def _decide_edge(self, k: int, depth: int) -> bool:
-        self._nodes += 1
-        if depth > self._max_depth:
-            self._max_depth = depth
-        if k < 0:
-            return False
-        if self._deadline is not None and not self._nodes & _TIME_CHECK_MASK:
-            if time.perf_counter() > self._deadline:
-                raise SolveTimeout(f"time limit exceeded after {self._nodes} nodes")
-        entry_ptr = self._ptr
-        edge = self._next_uncovered_edge()
-        if edge is None:
-            self._ptr = entry_ptr
-            self._capture_certificate(0)
-            return True
-        a, b = edge
-        child = depth + 1
-        self._select(a)
-        found = self._decide_edge(k - 1, child)
-        self._deselect()
-        if not found:
-            self._select(b)
-            found = self._decide_edge(k - 1, child)
-            self._deselect()
-        self._ptr = entry_ptr
-        return found
+        stack: list[list] = []
+        nodes = 0
+        max_depth = 0
+        while True:
+            # Expand a node at depth len(stack) with budget k.
+            nodes += 1
+            if len(stack) > max_depth:
+                max_depth = len(stack)
+            found = False
+            if k >= 0:
+                if deadline is not None and not nodes & _TIME_CHECK_MASK:
+                    if time.perf_counter() > deadline:
+                        raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
+                entry_ptr = self._ptr
+                frontier = scan()
+                if frontier is not None:
+                    branch = branches[0]
+                    stack.append([frontier, 0, k, entry_ptr])
+                    for i in branch:
+                        select(frontier[i])
+                    k -= len(branch)
+                    continue
+                # A scan that finds nothing leaves the pointer alone.
+                isolated = self._cnt1 >> 1
+                if isolated <= k:
+                    self._capture_certificate(isolated)
+                    found = True
+            # Pass the outcome up until a frame has a branch left to try.
+            while stack:
+                frame = stack[-1]
+                frontier, b, budget, entry_ptr = frame
+                for _ in branches[b]:
+                    deselect()
+                b += 1
+                if not found and b < len(branches):
+                    branch = branches[b]
+                    frame[1] = b
+                    for i in branch:
+                        select(frontier[i])
+                    k = budget - len(branch)
+                    break
+                self._ptr = entry_ptr
+                stack.pop()
+            else:
+                return found, nodes, max_depth
 
 
 def decide_vc(
@@ -641,14 +557,7 @@ def min_vertex_cover(
         total.merge(result.stats)
         if result.decision:
             cover = result.certificate
-            if cover is None or len(cover) != k or not _covers_all_edges(g, cover):
+            if cover is None or len(cover) != k or has_uncovered_edge(g, cover):
                 raise AssertionError("internal error: bad certificate at tau")
             return MinCoverResult(size=k, cover=cover, stats=total)
         k += 1
-
-
-def _covers_all_edges(g: Graph, cover: frozenset[int]) -> bool:
-    for u, v in g.edges():
-        if u not in cover and v not in cover:
-            return False
-    return True

@@ -3,7 +3,12 @@ backtracking purity, and agreement with the exhaustive oracle."""
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
@@ -26,6 +31,7 @@ from vckit import (
     min_vertex_cover,
     verify_cover,
 )
+from vckit import solver as solver_module
 
 from graphutil import (
     complete_graph,
@@ -317,6 +323,54 @@ def test_decide_monotone_in_budget():
                 previous = decision
 
 
+# Recorded from the recursive search that the one loop replaced; any
+# change to branch order, frontier choice or node counting moves them.
+# Key: (seed, strategy, k), with k at tau = 6 and tau - 1, ->
+# (decision, certificate, nodes_expanded, max_depth, triplet_scans).
+_GOLDEN_TREES = {
+    (1, "paper5", 6): (True, (19, 23, 33, 79, 131, 146), 313, 6, 65),
+    (1, "paper5", 5): (False, None, 421, 6, 84),
+    (1, "p3", 6): (True, (19, 23, 33, 79, 131, 146), 51, 7, 27),
+    (1, "p3", 5): (False, None, 41, 6, 20),
+    (1, "edge", 6): (True, (19, 23, 33, 79, 131, 146), 253, 7, 127),
+    (1, "edge", 5): (False, None, 127, 6, 63),
+    (2, "paper5", 6): (True, (35, 51, 55, 94, 170, 177), 233, 6, 49),
+    (2, "paper5", 5): (False, None, 421, 6, 84),
+    (2, "p3", 6): (True, (35, 51, 55, 94, 170, 177), 61, 7, 32),
+    (2, "p3", 5): (False, None, 41, 6, 20),
+    (2, "edge", 6): (True, (35, 51, 55, 94, 170, 177), 253, 7, 127),
+    (2, "edge", 5): (False, None, 127, 6, 63),
+    (3, "paper5", 6): (True, (14, 47, 62, 69, 137, 158), 233, 6, 49),
+    (3, "paper5", 5): (False, None, 421, 6, 84),
+    (3, "p3", 6): (True, (14, 47, 62, 69, 137, 158), 61, 7, 32),
+    (3, "p3", 5): (False, None, 41, 6, 20),
+    (3, "edge", 6): (True, (14, 47, 62, 69, 137, 158), 253, 7, 127),
+    (3, "edge", 5): (False, None, 127, 6, 63),
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_search_trees_pinned_on_relabeled_planted_instances(seed):
+    # relabeling moves the planted cover off ids 0..k-1, so the frontier
+    # scan meets it in a scattered order and the trees branch for real
+    inst = gen_planted(200, 6, 100, seed)
+    perm = list(range(200))
+    random.Random(seed).shuffle(perm)
+    g = Graph(200, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+    for strategy in ALL_STRATEGIES:
+        for k in (6, 5):
+            r = decide_vc(g, k, strategy)
+            certificate = None if r.certificate is None else tuple(sorted(r.certificate))
+            observed = (
+                r.decision,
+                certificate,
+                r.stats.nodes_expanded,
+                r.stats.max_depth,
+                r.stats.triplet_scans,
+            )
+            assert observed == _GOLDEN_TREES[(seed, strategy.value, k)], (strategy, k)
+
+
 def test_strategies_agree_on_planted_instances():
     for seed in range(5):
         inst = gen_planted(60, 5, 30, seed=seed)
@@ -354,12 +408,86 @@ def test_timeout_raises_and_restores_session():
     assert solver.decide(tau).decision is True
 
 
+def _interrupt_at_line(n: int):
+    """A trace function raising KeyboardInterrupt at the n-th line event
+    inside vckit/solver.py, the way an asynchronous Ctrl-C can land
+    between any two statements."""
+    remaining = n
+
+    def local(frame, event, arg):
+        nonlocal remaining
+        if event == "line":
+            remaining -= 1
+            if remaining == 0:
+                raise KeyboardInterrupt
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename == solver_module.__file__ else None
+
+    return on_call
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_interrupt_at_any_line_restores_session(strategy):
+    # a triangle with a pendant edge (tau 2): deciding k=1 walks the whole
+    # tree, so the sweep hits every line of the search and of the count
+    # updates, including halfway through a _select or _deselect
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    solver = BranchSolver(g, strategy)
+    before = _session_snapshot(solver)
+    previous = sys.gettrace()
+    n = 0
+    while True:
+        n += 1
+        sys.settrace(_interrupt_at_line(n))
+        try:
+            solver.decide(1)
+        except KeyboardInterrupt:
+            pass
+        else:
+            break
+        finally:
+            sys.settrace(previous)
+        assert _session_snapshot(solver) == before, f"interrupt at line event {n}"
+        assert solver.decide(2).decision is True
+        assert solver.decide(1).decision is False
+    assert n > 100
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_real_sigint_during_deep_search_restores_session():
+    # 300 disjoint triangles (tau 600): at k=599 the p3 tree is far too
+    # large to finish, so the signal lands mid-search; time_limit is only
+    # a backstop should it never arrive
+    g = Graph(900, [
+        e for t in range(0, 900, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))
+    ])
+    solver = BranchSolver(g, Strategy.CLASSIC_P3)
+    before = _session_snapshot(solver)
+    old_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
+    try:
+        timer.start()
+        with pytest.raises(KeyboardInterrupt):
+            solver.decide(599, time_limit=30.0)
+    finally:
+        timer.cancel()
+        timer.join(5.0)
+        signal.signal(signal.SIGINT, old_handler)
+    assert not timer.is_alive()
+    assert _session_snapshot(solver) == before
+    # nothing keeps writing to the session after decide() has returned
+    time.sleep(0.2)
+    assert _session_snapshot(solver) == before
+
+
 def test_no_timeout_when_limit_is_generous():
     result = decide_vc(path_graph(6), 3, time_limit=60.0)
     assert result.decision is True
 
 
-# -- deep recursion ---------------------------------------------------
+# -- deep searches ----------------------------------------------------
 
 
 def test_deep_search_small_components():
@@ -374,11 +502,17 @@ def test_deep_search_small_components():
 
 
 def test_deep_search_budget_10000():
+    recursion_limit = sys.getrecursionlimit()
+    stack_size = threading.stack_size()
     g = disjoint_paths_graph(5000)
     result = decide_vc(g, 10000)
     assert result.decision is True
     assert result.stats.max_depth >= 5000
     assert verify_cover(g, result.certificate)
+    # a deep search changes no process-wide state and leaves no thread
+    assert sys.getrecursionlimit() == recursion_limit
+    assert threading.stack_size() == stack_size
+    assert not any(t.name == "vc-deep-search" for t in threading.enumerate())
 
 
 # -- greedy matching --------------------------------------------------
