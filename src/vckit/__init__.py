@@ -10,7 +10,6 @@ from .bench import (
     BenchConfig,
     BenchRecord,
     BranchingFit,
-    default_config,
     estimate_branching_factor,
     parse_config_file,
     run_benchmark,
@@ -25,7 +24,7 @@ from .dimacs import (
     write_dimacs_file,
 )
 from .generate import PlantedInstance, gen_gnm, gen_planted
-from .graph import Graph, GraphError, graph_from_edges
+from .graph import Graph, GraphError
 from .oracle import BRUTE_FORCE_VERTEX_LIMIT, brute_force_tau, verify_cover
 from .solver import (
     BranchSolver,
@@ -33,7 +32,6 @@ from .solver import (
     IsolatedEdgesOnly,
     MinCoverResult,
     NoUncoveredEdges,
-    SelectedSet,
     SolveResult,
     SolveStats,
     SolveTimeout,
@@ -42,7 +40,6 @@ from .solver import (
     decide_vc,
     find_frontier,
     greedy_maximal_matching,
-    has_uncovered_edge,
     min_vertex_cover,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "MinCoverResult",
     "NoUncoveredEdges",
     "PlantedInstance",
-    "SelectedSet",
     "SolveResult",
     "SolveStats",
     "SolveTimeout",
@@ -72,14 +68,11 @@ __all__ = [
     "Triplet",
     "brute_force_tau",
     "decide_vc",
-    "default_config",
     "estimate_branching_factor",
     "find_frontier",
     "gen_gnm",
     "gen_planted",
-    "graph_from_edges",
     "greedy_maximal_matching",
-    "has_uncovered_edge",
     "min_vertex_cover",
     "parse_config_file",
     "parse_dimacs",

@@ -70,10 +70,6 @@ class BenchConfig:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 
 
-def default_config() -> BenchConfig:
-    return BenchConfig()
-
-
 @dataclass(frozen=True)
 class BenchRecord:
     """One (n, k, strategy, seed) cell of a sweep.

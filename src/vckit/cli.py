@@ -15,7 +15,6 @@ import sys
 
 from .bench import (
     BenchConfig,
-    default_config,
     estimate_branching_factor,
     parse_config_file,
     run_benchmark,
@@ -161,7 +160,7 @@ def _cmd_bench(args) -> int:
     if args.config is not None:
         config = parse_config_file(args.config)
     else:
-        config = default_config()
+        config = BenchConfig()
     if args.n is not None:
         config.n_values = _parse_int_list(args.n)
     if args.k is not None:

@@ -50,7 +50,7 @@ def parse_dimacs(data: str | bytes) -> Graph:
 
     n: int | None = None
     declared_m = 0
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
 
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
@@ -90,20 +90,21 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 )
             if u == v:
                 raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
-            a, b = u - 1, v - 1
-            edges.add((a, b) if a < b else (b, a))
+            edges.append((u - 1, v - 1))
         else:
             raise DimacsError(f"unrecognized line type {tag!r}", lineno)
 
     if n is None:
         raise DimacsError("missing problem line")
-    if declared_m != len(edges):
+    # Graph collapses duplicate and reversed lines and counts what is left.
+    g = Graph(n, edges)
+    if declared_m != g.edge_count:
         warnings.warn(
-            f"problem line declares {declared_m} edges, found {len(edges)} distinct",
+            f"problem line declares {declared_m} edges, found {g.edge_count} distinct",
             DimacsFormatWarning,
             stacklevel=2,
         )
-    return Graph(n, sorted(edges))
+    return g
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:

@@ -1,13 +1,15 @@
 """Immutable undirected simple graphs on vertex ids 0..n-1.
 
-Adjacency is kept twice: as frozensets for membership tests and as
-sorted tuples for deterministic iteration.  All construction goes
-through the validating constructor, so a Graph in hand is always a
-simple graph (no self-loops, no duplicates, symmetric adjacency).
+Adjacency is kept once, as a tuple of neighbor ids in ascending order
+per vertex: iteration is deterministic, and membership is a binary
+search.  All construction goes through the validating constructor, so
+a Graph in hand is always a simple graph (no self-loops, no duplicates,
+symmetric adjacency).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 
@@ -26,7 +28,7 @@ class Graph:
         the vertex range raise GraphError naming the offending pair.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_sorted_adj")
+    __slots__ = ("_n", "_m", "_adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -43,9 +45,8 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._sorted_adj = tuple(tuple(sorted(s)) for s in adj)
-        self._m = sum(len(s) for s in adj) // 2
+        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._m = sum(map(len, self._adj)) // 2
 
     @property
     def vertex_count(self) -> int:
@@ -59,27 +60,29 @@ class Graph:
     @property
     def sorted_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex neighbor tuples in ascending order, indexed by id."""
-        return self._sorted_adj
+        return self._adj
 
     def vertices(self) -> range:
         return range(self._n)
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v in ascending order."""
         return self._adj[v]
-
-    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._sorted_adj[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u] if 0 <= u < self._n else False
+        if not (0 <= u < self._n):
+            return False
+        a = self._adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in ascending order."""
         for u in range(self._n):
-            for v in self._sorted_adj[u]:
+            for v in self._adj[u]:
                 if v > u:
                     yield (u, v)
 
@@ -98,15 +101,12 @@ class Graph:
         a test hook after exercising code that touches internals.
         """
         assert len(self._adj) == self._n
-        for v in range(self._n):
-            assert v not in self._adj[v], f"self-loop at {v}"
-            assert tuple(sorted(self._adj[v])) == self._sorted_adj[v]
-            for w in self._adj[v]:
+        for v, a in enumerate(self._adj):
+            assert all(x < y for x, y in zip(a, a[1:])), (
+                f"neighbors of {v} not strictly ascending"
+            )
+            for w in a:
+                assert w != v, f"self-loop at {v}"
                 assert 0 <= w < self._n, f"neighbor {w} of {v} out of range"
-                assert v in self._adj[w], f"asymmetric edge ({v}, {w})"
+                assert self.has_edge(w, v), f"asymmetric edge ({v}, {w})"
         assert sum(len(a) for a in self._adj) == 2 * self._m
-
-
-def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list; see the Graph constructor."""
-    return Graph(vertex_count, edges)

@@ -32,6 +32,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Union
 
 from .graph import Graph
+from .oracle import verify_cover
 
 
 class Strategy(str, Enum):
@@ -67,57 +68,6 @@ class NoUncoveredEdges(NamedTuple):
 FrontierFinding = Union[Triplet, IsolatedEdgesOnly, NoUncoveredEdges]
 
 
-class SelectedSet:
-    """The cover under construction: O(1) membership plus an undo trail.
-
-    push/pop follow stack discipline.  The trail exposes selection
-    order, which is what makes backtracking (and inspecting a search in
-    flight) cheap.
-    """
-
-    __slots__ = ("_flags", "_trail")
-
-    def __init__(self, vertex_count: int):
-        self._flags = bytearray(vertex_count)
-        self._trail: list[int] = []
-
-    def push(self, v: int) -> None:
-        if not (0 <= v < len(self._flags)):
-            raise ValueError(f"vertex id {v} out of range 0..{len(self._flags) - 1}")
-        if self._flags[v]:
-            raise ValueError(f"vertex {v} is already selected")
-        self._flags[v] = 1
-        self._trail.append(v)
-
-    def pop(self) -> int:
-        if not self._trail:
-            raise ValueError("pop from an empty SelectedSet")
-        v = self._trail.pop()
-        self._flags[v] = 0
-        return v
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < len(self._flags) and bool(self._flags[v])
-
-    def __len__(self) -> int:
-        return len(self._trail)
-
-    @property
-    def count(self) -> int:
-        return len(self._trail)
-
-    @property
-    def trail(self) -> tuple[int, ...]:
-        """Selected vertices in selection order."""
-        return tuple(self._trail)
-
-    def as_set(self) -> set[int]:
-        return set(self._trail)
-
-    def __repr__(self) -> str:
-        return f"SelectedSet({sorted(self._trail)})"
-
-
 @dataclass
 class SolveStats:
     """Search-effort counters for one decide() call (or a merged run)."""
@@ -148,17 +98,6 @@ class SolveResult:
     stats: SolveStats
 
 
-def has_uncovered_edge(g: Graph, selected) -> bool:
-    """True iff some edge of g has neither endpoint in `selected`.
-
-    `selected` is anything supporting ``in`` over vertex ids.
-    """
-    for u, v in g.edges():
-        if u not in selected and v not in selected:
-            return True
-    return False
-
-
 def find_frontier(g: Graph, selected) -> FrontierFinding:
     """Locate the next branching spot, deterministically.
 
@@ -176,7 +115,7 @@ def find_frontier(g: Graph, selected) -> FrontierFinding:
         if v in selected:
             continue
         first = -1
-        for w in g.sorted_neighbors(v):
+        for w in g.neighbors(v):
             if w not in selected:
                 if first < 0:
                     first = w
@@ -208,21 +147,23 @@ _BRANCHES = {
 class BranchSolver:
     """One search session over a fixed graph and strategy.
 
-    The session owns the SelectedSet plus incremental state keyed to
-    it: per-vertex counts of unselected neighbors and tallies of how
-    many unselected vertices have exactly one (or two or more) of them.
-    Those tallies decide terminal positions in O(1), and a monotone scan
-    pointer (saved and restored around every branch) keeps locating the
-    next frontier cheap.  decide() restores everything before
-    returning, so one session can be reused across budgets.
+    The session owns the selection (per-vertex flags plus a trail in
+    selection order) and incremental state keyed to it: per-vertex
+    counts of unselected neighbors and tallies of how many unselected
+    vertices have exactly one (or two or more) of them.  Those tallies
+    decide terminal positions in O(1), and a monotone scan pointer
+    (saved and restored around every branch) keeps locating the next
+    frontier cheap.  select() and deselect() are the only ways to change
+    the selection, so the counts always agree with it; `selected` is a
+    read-only copy.  decide() restores everything before returning, so
+    one session can be reused across budgets.
     """
 
     def __init__(self, graph: Graph, strategy: Strategy | str = Strategy.PAPER_FIVE):
         self.graph = graph
         self.strategy = Strategy(strategy)
-        self.selected = SelectedSet(graph.vertex_count)
-        self._flags = self.selected._flags
-        self._trail = self.selected._trail
+        self._flags = bytearray(graph.vertex_count)
+        self._trail: list[int] = []
         self._adj = graph.sorted_adjacency
         self._reset()
         self._scans = 0
@@ -244,6 +185,11 @@ class BranchSolver:
 
     # -- public session surface -------------------------------------
 
+    @property
+    def selected(self) -> tuple[int, ...]:
+        """The selected vertices in selection order."""
+        return tuple(self._trail)
+
     def select(self, v: int) -> None:
         """Add v to the selection, updating the incremental counts."""
         if not (0 <= v < self.graph.vertex_count):
@@ -255,7 +201,7 @@ class BranchSolver:
     def deselect(self) -> int:
         """Undo the most recent selection; returns the vertex."""
         if not self._trail:
-            raise ValueError("deselect on an empty SelectedSet")
+            raise ValueError("deselect on an empty selection")
         v = self._trail[-1]
         self._deselect()
         self._ptr = 0  # deselection can revive centers below the pointer
@@ -278,7 +224,7 @@ class BranchSolver:
     def decide(self, k: int, time_limit: float | None = None) -> SolveResult:
         """Decide tau(graph) <= k.
 
-        Requires an empty SelectedSet (a session mid-inspection should
+        Requires an empty selection (a session mid-inspection should
         be unwound first) and leaves it empty again.  time_limit is in
         seconds; exceeding it raises SolveTimeout.  Any abort (timeout,
         KeyboardInterrupt) leaves the session empty and usable.  The
@@ -288,7 +234,7 @@ class BranchSolver:
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
         if self._trail:
-            raise RuntimeError("decide() requires an empty SelectedSet")
+            raise RuntimeError("decide() requires an empty selection")
         self._scans = 0
         self._certificate = None
         self._ptr = 0
@@ -557,7 +503,7 @@ def min_vertex_cover(
         total.merge(result.stats)
         if result.decision:
             cover = result.certificate
-            if cover is None or len(cover) != k or has_uncovered_edge(g, cover):
+            if cover is None or len(cover) != k or not verify_cover(g, cover):
                 raise AssertionError("internal error: bad certificate at tau")
             return MinCoverResult(size=k, cover=cover, stats=total)
         k += 1

@@ -18,7 +18,6 @@ from vckit import (
     Strategy,
     brute_force_tau,
     decide_vc,
-    default_config,
     estimate_branching_factor,
     gen_gnm,
     gen_planted,
@@ -39,7 +38,7 @@ def _report(number: int, name: str, detail: str) -> None:
 def _session_snapshot(solver: BranchSolver):
     return (
         bytes(solver._flags),
-        tuple(solver.selected.trail),
+        solver.selected,
         list(solver._udeg),
         solver._cnt1,
         solver._cnt2,
@@ -200,7 +199,7 @@ def test_criterion_7_default_benchmark_is_reproducible():
     """Two runs of the stock benchmark agree byte for byte once the
     timing column is removed."""
     def stripped_csv() -> str:
-        csv = write_report(run_benchmark(default_config()), "csv")
+        csv = write_report(run_benchmark(BenchConfig()), "csv")
         lines = csv.splitlines()
         assert lines[0] == CSV_HEADER
         kept = []

@@ -12,7 +12,6 @@ from vckit import (
     BenchRecord,
     Strategy,
     decide_vc,
-    default_config,
     estimate_branching_factor,
     gen_planted,
     parse_config_file,
@@ -100,7 +99,7 @@ def test_config_validation():
         BenchConfig(seeds=[-3]).validate()
     with pytest.raises(ValueError, match="n/2"):
         BenchConfig(n_values=[10], k_values=[2, 6]).validate()
-    default_config().validate()
+    BenchConfig().validate()
 
 
 def test_csv_header_and_layout():

@@ -120,3 +120,25 @@ def test_round_trip_random_graphs():
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         g = gen_gnm(n, m, seed=rng.randrange(2**32))
         assert parse_dimacs(write_dimacs(g)) == g
+
+
+def test_parse_any_line_order_equals_graph_of_distinct_edges():
+    # Graph, not the parser, dedups and orders: shuffled, reversed and
+    # repeated e lines give the same Graph and the distinct count.
+    rng = random.Random(4242)
+    for trial in range(30):
+        n = rng.randrange(2, 30)
+        m = rng.randrange(1, n * (n - 1) // 2 + 1)
+        distinct = list(gen_gnm(n, m, seed=rng.randrange(2**32)).edges())
+        lines = distinct + [(v, u) for u, v in distinct]
+        lines += rng.sample(distinct, rng.randrange(1, m + 1))
+        rng.shuffle(lines)
+        text = f"p edge {n} {len(lines)}\n" + "".join(
+            f"e {u + 1} {v + 1}\n" for u, v in lines
+        )
+        with pytest.warns(
+            DimacsFormatWarning, match=f"declares {len(lines)} edges, found {m} distinct"
+        ):
+            g = parse_dimacs(text)
+        assert g == Graph(n, distinct)
+        assert g.edge_count == m

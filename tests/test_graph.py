@@ -6,17 +6,16 @@ import random
 
 import pytest
 
-from vckit import Graph, GraphError, gen_gnm, graph_from_edges
+from vckit import Graph, GraphError, gen_gnm
 
 from graphutil import complete_graph, path_graph
 
 
 def test_path_construction():
-    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(1, 2), (1, 0)])
     assert g.vertex_count == 3
     assert g.edge_count == 2
-    assert g.neighbors(1) == frozenset({0, 2})
-    assert g.sorted_neighbors(1) == (0, 2)
+    assert g.neighbors(1) == (0, 2)
     assert g.degree(0) == 1
     assert list(g.edges()) == [(0, 1), (1, 2)]
 
@@ -63,6 +62,13 @@ def test_has_edge():
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 2)
     assert not g.has_edge(-1, 0)
+    assert not g.has_edge(4, 3)  # u out of range
+    # v beside, below, above and outside the sorted neighbors of u
+    star = Graph(6, [(2, 1), (2, 3), (2, 4)])
+    assert [star.has_edge(2, v) for v in range(-1, 7)] == [
+        False, False, True, False, True, True, False, False,
+    ]
+    assert not star.has_edge(0, -1)
 
 
 def test_equality():
@@ -93,7 +99,7 @@ def test_random_graphs_satisfy_invariants():
         g = gen_gnm(n, m, seed=rng.randrange(2**32))
         g.validate()
         assert g.edge_count == m
-        # edge iterator agrees with the adjacency sets
+        # edge iterator agrees with the adjacency tuples
         listed = list(g.edges())
         assert len(listed) == m
         assert len(set(listed)) == m
@@ -102,3 +108,9 @@ def test_random_graphs_satisfy_invariants():
             assert v in g.neighbors(u)
             assert u in g.neighbors(v)
         assert sum(g.degree(v) for v in g.vertices()) == 2 * m
+        # has_edge's binary search agrees with a plain membership test
+        for u in g.vertices():
+            nbrs = g.neighbors(u)
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            for v in g.vertices():
+                assert g.has_edge(u, v) == g.has_edge(v, u) == (v in nbrs)

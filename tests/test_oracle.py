@@ -18,6 +18,10 @@ def test_verify_cover_basics():
     assert verify_cover(k3, {0, 1, 2})
     assert verify_cover(Graph(4), set())
     assert not verify_cover(path_graph(2), set())
+    p3 = path_graph(3)
+    assert not verify_cover(p3, set())
+    assert verify_cover(p3, {1})
+    assert not verify_cover(p3, {0})  # {1,2} still uncovered
 
 
 def test_verify_cover_rejects_bad_ids():

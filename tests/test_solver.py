@@ -17,7 +17,6 @@ from vckit import (
     Graph,
     IsolatedEdgesOnly,
     NoUncoveredEdges,
-    SelectedSet,
     SolveTimeout,
     Strategy,
     Triplet,
@@ -27,7 +26,6 @@ from vckit import (
     gen_gnm,
     gen_planted,
     greedy_maximal_matching,
-    has_uncovered_edge,
     min_vertex_cover,
     verify_cover,
 )
@@ -50,65 +48,14 @@ def _session_snapshot(solver: BranchSolver):
     """Everything decide() must restore."""
     return (
         bytes(solver._flags),
-        tuple(solver.selected.trail),
+        solver.selected,
         list(solver._udeg),
         solver._cnt1,
         solver._cnt2,
     )
 
 
-# -- SelectedSet ------------------------------------------------------
-
-
-def test_selected_set_push_pop():
-    s = SelectedSet(5)
-    assert s.count == 0
-    s.push(3)
-    s.push(0)
-    assert 3 in s and 0 in s and 1 not in s
-    assert s.count == len(s) == 2
-    assert s.trail == (3, 0)
-    assert s.pop() == 0
-    assert s.pop() == 3
-    assert s.count == 0
-
-
-def test_selected_set_rejects_double_push():
-    s = SelectedSet(3)
-    s.push(1)
-    with pytest.raises(ValueError, match="already selected"):
-        s.push(1)
-
-
-def test_selected_set_rejects_bad_ids():
-    s = SelectedSet(3)
-    with pytest.raises(ValueError, match="out of range"):
-        s.push(3)
-    with pytest.raises(ValueError, match="out of range"):
-        s.push(-1)
-
-
-def test_selected_set_pop_empty():
-    with pytest.raises(ValueError, match="empty"):
-        SelectedSet(2).pop()
-
-
-def test_selected_set_contains_is_total():
-    s = SelectedSet(2)
-    assert -1 not in s
-    assert 99 not in s
-
-
 # -- frontier scans ---------------------------------------------------
-
-
-def test_has_uncovered_edge():
-    p3 = path_graph(3)
-    assert has_uncovered_edge(p3, set())
-    assert not has_uncovered_edge(p3, {1})
-    assert has_uncovered_edge(p3, {0})
-    assert has_uncovered_edge(complete_graph(3), {0})  # {1,2} still uncovered
-    assert not has_uncovered_edge(Graph(4), set())
 
 
 def test_find_frontier_path():
@@ -141,7 +88,7 @@ def _frontier_by_definition(g: Graph, selected: set[int]):
     for v in range(g.vertex_count):
         if v in selected:
             continue
-        free = [w for w in g.sorted_neighbors(v) if w not in selected]
+        free = [w for w in g.neighbors(v) if w not in selected]
         if len(free) >= 2:
             return Triplet(free[0], v, free[1])
     isolated = sum(
@@ -172,23 +119,29 @@ def test_session_frontier_matches_reference():
         g = gen_gnm(n, m, seed=rng.randrange(2**32))
         solver = BranchSolver(g)
         for step in range(25):
-            if solver.selected.count and rng.random() < 0.4:
+            if solver.selected and rng.random() < 0.4:
                 solver.deselect()
-            elif solver.selected.count < n:
+            elif len(solver.selected) < n:
                 v = rng.choice([u for u in range(n) if u not in solver.selected])
                 solver.select(v)
             assert solver.frontier() == find_frontier(g, solver.selected)
 
 
 def test_session_select_validates():
-    solver = BranchSolver(path_graph(3))
-    solver.select(1)
+    solver = BranchSolver(path_graph(4))
+    assert solver.selected == ()
+    solver.select(3)
+    solver.select(0)
+    assert solver.selected == (3, 0)  # a read-only tuple, in selection order
     with pytest.raises(ValueError, match="already selected"):
-        solver.select(1)
-    with pytest.raises(ValueError, match="out of range"):
-        solver.select(7)
-    assert solver.deselect() == 1
-    with pytest.raises(ValueError, match="empty"):
+        solver.select(3)
+    for bad in (4, 7, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            solver.select(bad)
+    assert solver.frontier() == find_frontier(solver.graph, solver.selected)
+    assert solver.deselect() == 0
+    assert solver.deselect() == 3
+    with pytest.raises(ValueError, match="empty selection"):
         solver.deselect()
 
 
@@ -256,7 +209,7 @@ def test_decide_rejects_negative_budget():
 def test_decide_requires_unwound_session():
     solver = BranchSolver(path_graph(3))
     solver.select(0)
-    with pytest.raises(RuntimeError, match="empty SelectedSet"):
+    with pytest.raises(RuntimeError, match="empty selection"):
         solver.decide(1)
     solver.deselect()
     assert solver.decide(1).decision is True
