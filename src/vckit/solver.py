@@ -17,7 +17,9 @@ only in their list of branches, and so in search-tree shape:
 * p3 - the classic two-way path rule: {v}, else {u,w}.
 * edge - two-way branching on one uncovered edge {a,b}: {a}, else {b}.
 
-Base cases: a negative budget fails; no uncovered edges succeeds.  For
+Base cases: a branch that costs more than the budget fails; it is
+counted as a failed node one level deeper but never entered, so the
+selection never exceeds the budget.  No uncovered edges succeeds.  For
 paper5 and p3, which need a path of two edges to branch on, a position
 where only pairwise-disjoint uncovered edges remain is decided
 directly: it succeeds iff the budget covers their count, taking one
@@ -386,11 +388,14 @@ class BranchSolver:
 
         Each frame of the explicit stack is [frontier, branch_index,
         budget, entry_ptr] for one expanded node; the trail holds the
-        vertices of the branch in flight at every level.  Every child
-        counts as a node, including k < 0 dead ends, so nodes_expanded
-        and max_depth describe the whole tree the branching rule visits.
+        vertices of the branch in flight at every level.  A child whose
+        branch costs more than the budget is counted as a failed node at
+        depth + 1 but never entered, so nothing is selected beyond the
+        budget, while nodes_expanded and max_depth still describe the
+        whole tree the branching rule visits.
         """
         branches = _BRANCHES[self.strategy]
+        n_branches = len(branches)
         scan = (
             self._next_uncovered_edge
             if self.strategy is Strategy.EDGE_BRANCH
@@ -402,43 +407,48 @@ class BranchSolver:
         nodes = 0
         max_depth = 0
         while True:
-            # Expand a node at depth len(stack) with budget k.
+            # Expand a node at depth len(stack) with budget k >= 0.
             nodes += 1
             if len(stack) > max_depth:
                 max_depth = len(stack)
-            found = False
-            if k >= 0:
-                if deadline is not None and not nodes & _TIME_CHECK_MASK:
-                    if time.perf_counter() > deadline:
-                        raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
-                entry_ptr = self._ptr
-                frontier = scan()
-                if frontier is not None:
-                    branch = branches[0]
-                    stack.append([frontier, 0, k, entry_ptr])
-                    for i in branch:
-                        select(frontier[i])
-                    k -= len(branch)
-                    continue
+            if deadline is not None and not nodes & _TIME_CHECK_MASK:
+                if time.perf_counter() > deadline:
+                    raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
+            entry_ptr = self._ptr
+            frontier = scan()
+            if frontier is not None:
+                stack.append([frontier, -1, k, entry_ptr])
+                found = False
+            else:
                 # A scan that finds nothing leaves the pointer alone.
                 isolated = self._cnt1 >> 1
-                if isolated <= k:
+                found = isolated <= k
+                if found:
                     self._capture_certificate(isolated)
-                    found = True
-            # Pass the outcome up until a frame has a branch left to try.
+            # Pass the outcome up until a frame has a branch left that its
+            # budget affords.  A branch over budget would fail at once: it
+            # counts as a node at depth len(stack) but is never entered.
             while stack:
                 frame = stack[-1]
                 frontier, b, budget, entry_ptr = frame
-                for _ in branches[b]:
-                    deselect()
-                b += 1
-                if not found and b < len(branches):
-                    branch = branches[b]
-                    frame[1] = b
-                    for i in branch:
-                        select(frontier[i])
-                    k = budget - len(branch)
-                    break
+                if b >= 0:
+                    for _ in branches[b]:
+                        deselect()
+                if not found:
+                    b += 1
+                    while b < n_branches and len(branches[b]) > budget:
+                        nodes += 1
+                        b += 1
+                    if b < n_branches:
+                        branch = branches[b]
+                        frame[1] = b
+                        for i in branch:
+                            select(frontier[i])
+                        k = budget - len(branch)
+                        break
+                    # Some child at this depth was entered or counted.
+                    if len(stack) > max_depth:
+                        max_depth = len(stack)
                 self._ptr = entry_ptr
                 stack.pop()
             else:

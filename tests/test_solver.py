@@ -11,6 +11,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vckit import (
     BranchSolver,
@@ -158,12 +160,13 @@ def test_decide_path3_budget1(strategy):
 
 def test_decide_path3_node_counts_pinned():
     # regression anchors; the trees are tiny enough to trace by hand.
-    # paper5: root, three failing pair-branches at k=-1, then {v} succeeds
+    # paper5: root, three pair-branches over budget, counted but never
+    # selected, then {v} succeeds
     assert decide_vc(path_graph(3), 1, Strategy.PAPER_FIVE).stats.nodes_expanded == 5
     # p3: root, then {v} succeeds immediately
     assert decide_vc(path_graph(3), 1, Strategy.CLASSIC_P3).stats.nodes_expanded == 2
-    # edge: root, {0} leads to k=0 with an edge left and two dead ends,
-    # then {1} covers everything
+    # edge: root, {0} leads to k=0 with an edge left and two branches
+    # over budget, counted but never selected, then {1} covers everything
     assert decide_vc(path_graph(3), 1, Strategy.EDGE_BRANCH).stats.nodes_expanded == 5
 
 
@@ -322,6 +325,105 @@ def test_search_trees_pinned_on_relabeled_planted_instances(seed):
                 r.stats.triplet_scans,
             )
             assert observed == _GOLDEN_TREES[(seed, strategy.value, k)], (strategy, k)
+
+
+def _relabeled_planted(seed):
+    """The n=200, k=6 planted graph of the golden trees, relabeled."""
+    inst = gen_planted(200, 6, 100, seed)
+    perm = list(range(200))
+    random.Random(seed).shuffle(perm)
+    return Graph(200, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_selection_never_exceeds_budget(seed, monkeypatch):
+    # branches over budget are counted as nodes but never selected
+    g = _relabeled_planted(seed)
+    lengths = []
+    select = BranchSolver._select
+
+    def recording_select(self, v):
+        select(self, v)
+        lengths.append(len(self._trail))
+
+    monkeypatch.setattr(BranchSolver, "_select", recording_select)
+    for strategy in ALL_STRATEGIES:
+        for k in (6, 5):
+            lengths.clear()
+            decide_vc(g, k, strategy)
+            assert lengths and max(lengths) <= k, (strategy, k)
+
+
+# The branches of each strategy, restated apart from the solver's table:
+# positions in the frontier of the vertices that each branch selects.
+_REFERENCE_BRANCHES = {
+    "paper5": ((0, 1), (0, 2), (1, 2), (1,), (0, 1, 2)),
+    "p3": ((1,), (0, 2)),
+    "edge": ((0,), (1,)),
+}
+
+
+def _reference_search(g, k, strategy):
+    """Plain recursion over the whole branch tree, entering every child
+    even over budget; returns (decision, nodes_expanded, max_depth,
+    triplet_scans), with a scan at each node whose budget is >= 0."""
+    selected = set()
+    counts = [0, 0, 0]
+
+    def scan():
+        if strategy != "edge":
+            return find_frontier(g, selected)
+        for a in range(g.vertex_count):
+            if a not in selected:
+                for b in g.neighbors(a):
+                    if b not in selected:
+                        return (a, b)
+        return NoUncoveredEdges()
+
+    def expand(budget, depth):
+        counts[0] += 1
+        counts[1] = max(counts[1], depth)
+        if budget < 0:
+            return False
+        counts[2] += 1
+        frontier = scan()
+        if isinstance(frontier, NoUncoveredEdges):
+            return True
+        if isinstance(frontier, IsolatedEdgesOnly):
+            return frontier.count <= budget
+        for branch in _REFERENCE_BRANCHES[strategy]:
+            chosen = {frontier[i] for i in branch}
+            selected.update(chosen)
+            found = expand(budget - len(branch), depth + 1)
+            selected.difference_update(chosen)
+            if found:
+                return True
+        return False
+
+    return (expand(k, 0), *counts)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_graphs())
+def test_node_counts_match_reference_recursion(g):
+    for strategy in ALL_STRATEGIES:
+        for k in range(g.vertex_count + 1):
+            r = decide_vc(g, k, strategy)
+            observed = (
+                r.decision,
+                r.stats.nodes_expanded,
+                r.stats.max_depth,
+                r.stats.triplet_scans,
+            )
+            assert observed == _reference_search(g, k, strategy.value), (strategy, k)
 
 
 def test_strategies_agree_on_planted_instances():
