@@ -7,7 +7,11 @@ to cover the frontier and searches each with the budget reduced by the
 number of vertices added.  Search stops at the first success; every
 branch restores the selected set on the way out.  One loop over an
 explicit stack walks the tree for every strategy and budget, with
-O(n + k) extra state and no recursion.
+O(n + k) extra state and no recursion.  Selecting and deselecting a
+vertex is O(1); a node pays for its frontier scan, which reads the
+neighbors of each candidate it visits only until it has found the
+unselected ones it needs, and a node with no frontier left pays one
+O(n + m) pass to count the uncovered edges.
 
 Three interchangeable strategies answer the same predicate and differ
 only in their list of branches, and so in search-tree shape:
@@ -109,8 +113,10 @@ def find_frontier(g: Graph, selected) -> FrontierFinding:
     uncovered edge is vertex-disjoint from the rest; the count of those
     is returned, or NoUncoveredEdges when there are none.
 
-    This is the reference scan; BranchSolver reproduces it with
-    incremental counts instead of rescanning.
+    This is the reference scan.  BranchSolver reproduces it without
+    rescanning from id 0: it resumes from a pointer, skips vertices that
+    cannot be centers, and counts the isolated edges only once no
+    center is left.
     """
     endpoints = 0  # unselected vertices with exactly one unselected neighbor
     for v in range(g.vertex_count):
@@ -149,40 +155,43 @@ _BRANCHES = {
 class BranchSolver:
     """One search session over a fixed graph and strategy.
 
-    The session owns the selection (per-vertex flags plus a trail in
-    selection order) and incremental state keyed to it: per-vertex
-    counts of unselected neighbors and tallies of how many unselected
-    vertices have exactly one (or two or more) of them.  Those tallies
-    decide terminal positions in O(1), and a monotone scan pointer
-    (saved and restored around every branch) keeps locating the next
-    frontier cheap.  select() and deselect() are the only ways to change
-    the selection, so the counts always agree with it; `selected` is a
-    read-only copy.  decide() restores everything before returning, so
-    one session can be reused across budgets.
+    The session owns the selection: per-vertex flags plus a trail in
+    selection order.  Beside it sits one byte per vertex marking the
+    unselected scan candidates, the vertices that can head a frontier
+    at all (degree two or more for paper5 and p3, one or more for
+    edge).  Selecting or deselecting a vertex touches only those three
+    structures, so it is O(1) whatever the vertex's degree.  A scan
+    jumps from candidate to candidate and checks a candidate's
+    neighbors only until it has found the unselected ones it needs, and
+    a monotone scan pointer (saved and restored around every branch)
+    keeps it from revisiting candidates already ruled out.  select()
+    and deselect() are the only ways to change the selection;
+    `selected` is a read-only copy.  decide() restores everything
+    before returning, so one session can be reused across budgets.
     """
 
     def __init__(self, graph: Graph, strategy: Strategy | str = Strategy.PAPER_FIVE):
         self.graph = graph
         self.strategy = Strategy(strategy)
+        self._adj = graph.sorted_adjacency
+        min_degree = 1 if self.strategy is Strategy.EDGE_BRANCH else 2
+        self._candidates = bytes(len(a) >= min_degree for a in self._adj)
         self._flags = bytearray(graph.vertex_count)
         self._trail: list[int] = []
-        self._adj = graph.sorted_adjacency
         self._reset()
         self._scans = 0
         self._certificate: frozenset[int] | None = None
 
     def _reset(self) -> None:
-        """Empty the selection and recompute the counts from the graph.
+        """Empty the selection and mark every candidate live again.
 
         Unlike rewinding the trail, this is correct from any state,
-        including one left by an interrupt halfway through _select or
-        _deselect.
+        including one left by an interrupt halfway through a selection
+        or a deselection.
         """
         self._flags[:] = bytes(len(self._flags))
         self._trail.clear()
-        self._udeg = [len(a) for a in self._adj]
-        self._cnt1 = sum(1 for d in self._udeg if d == 1)
-        self._cnt2 = sum(1 for d in self._udeg if d >= 2)
+        self._live = bytearray(self._candidates)
         self._ptr = 0
 
     # -- public session surface -------------------------------------
@@ -193,24 +202,27 @@ class BranchSolver:
         return tuple(self._trail)
 
     def select(self, v: int) -> None:
-        """Add v to the selection, updating the incremental counts."""
+        """Add v to the selection."""
         if not (0 <= v < self.graph.vertex_count):
             raise ValueError(f"vertex id {v} out of range")
         if self._flags[v]:
             raise ValueError(f"vertex {v} is already selected")
-        self._select(v)
+        self._flags[v] = 1
+        self._live[v] = 0
+        self._trail.append(v)
 
     def deselect(self) -> int:
         """Undo the most recent selection; returns the vertex."""
         if not self._trail:
             raise ValueError("deselect on an empty selection")
-        v = self._trail[-1]
-        self._deselect()
+        v = self._trail.pop()
+        self._flags[v] = 0
+        self._live[v] = self._candidates[v]
         self._ptr = 0  # deselection can revive centers below the pointer
         return v
 
     def frontier(self) -> FrontierFinding:
-        """find_frontier for the current selection, via the fast counts."""
+        """find_frontier for the current selection."""
         saved = self._ptr
         self._ptr = 0
         try:
@@ -219,8 +231,9 @@ class BranchSolver:
             self._ptr = saved
         if t is not None:
             return Triplet(*t)
-        if self._cnt1:
-            return IsolatedEdgesOnly(self._cnt1 >> 1)
+        isolated = len(self._isolated_ends())
+        if isolated:
+            return IsolatedEdgesOnly(isolated)
         return NoUncoveredEdges()
 
     def decide(self, k: int, time_limit: float | None = None) -> SolveResult:
@@ -263,122 +276,71 @@ class BranchSolver:
             stats=stats,
         )
 
-    # -- incremental bookkeeping --------------------------------------
-    #
-    # _udeg[v] counts unselected neighbors of v; _cnt1/_cnt2 count
-    # unselected vertices whose _udeg is exactly 1 / at least 2.
-    # _select and _deselect are exact inverses under the stack
-    # discipline, which is what makes backtracking restore the counts.
-
-    def _select(self, v: int) -> None:
-        udeg = self._udeg
-        flags = self._flags
-        d = udeg[v]
-        if d:
-            if d == 1:
-                self._cnt1 -= 1
-            else:
-                self._cnt2 -= 1
-        flags[v] = 1
-        self._trail.append(v)
-        c1 = self._cnt1
-        c2 = self._cnt2
-        for w in self._adj[v]:
-            dw = udeg[w]
-            udeg[w] = dw - 1
-            if not flags[w]:
-                if dw == 2:
-                    c1 += 1
-                    c2 -= 1
-                elif dw == 1:
-                    c1 -= 1
-        self._cnt1 = c1
-        self._cnt2 = c2
-
-    def _deselect(self) -> None:
-        v = self._trail.pop()
-        udeg = self._udeg
-        flags = self._flags
-        c1 = self._cnt1
-        c2 = self._cnt2
-        for w in self._adj[v]:
-            dw = udeg[w]
-            udeg[w] = dw + 1
-            if not flags[w]:
-                if dw == 1:
-                    c1 -= 1
-                    c2 += 1
-                elif dw == 0:
-                    c1 += 1
-        flags[v] = 0
-        d = udeg[v]
-        if d:
-            if d == 1:
-                c1 += 1
-            else:
-                c2 += 1
-        self._cnt1 = c1
-        self._cnt2 = c2
-
     # -- frontier scans ------------------------------------------------
+    #
+    # A scan finds the next live candidate with bytearray.find, which
+    # runs in C, and reads its neighbors' flags only until it has the
+    # unselected ones it needs: at most min(degree, selected + 2) checks
+    # per candidate visited.
     #
     # The pointer invariant: every unselected vertex below _ptr fails
     # the scan predicate (fewer than two unselected neighbors for the
     # triplet scan, none for the edge scan).  Selecting vertices only
-    # lowers neighbor counts, so the invariant survives deeper in the
-    # search; each branch frame restores the pointer it entered with.
+    # removes unselected neighbors, so the invariant survives deeper in
+    # the search; each branch frame restores the pointer it entered
+    # with.  A scan that finds nothing leaves the pointer alone.
 
     def _next_triplet(self):
         """The Triplet of find_frontier as a plain tuple, or None."""
         self._scans += 1
-        if not self._cnt2:
-            return None
         flags = self._flags
-        udeg = self._udeg
-        p = self._ptr
-        while flags[p] or udeg[p] < 2:
-            p += 1
-        self._ptr = p
-        first = -1
-        for w in self._adj[p]:
-            if not flags[w]:
-                if first < 0:
+        adj = self._adj
+        find = self._live.find
+        p = find(1, self._ptr)
+        while p >= 0:
+            first = -1
+            for w in adj[p]:
+                if not flags[w]:
+                    if first >= 0:
+                        self._ptr = p
+                        return (first, p, w)
                     first = w
-                else:
-                    return (first, p, w)
-        raise AssertionError("neighbor counts out of sync with flags")
+            p = find(1, p + 1)
+        return None
 
     def _next_uncovered_edge(self):
         """Lowest-endpoint uncovered edge as (a, b), or None."""
         self._scans += 1
-        if not (self._cnt1 or self._cnt2):
-            return None
         flags = self._flags
-        udeg = self._udeg
-        p = self._ptr
-        while flags[p] or not udeg[p]:
-            p += 1
-        self._ptr = p
-        for w in self._adj[p]:
-            if not flags[w]:
-                return (p, w)
-        raise AssertionError("neighbor counts out of sync with flags")
+        adj = self._adj
+        find = self._live.find
+        p = find(1, self._ptr)
+        while p >= 0:
+            for w in adj[p]:
+                if not flags[w]:
+                    self._ptr = p
+                    return (p, w)
+            p = find(1, p + 1)
+        return None
 
-    def _capture_certificate(self, isolated: int) -> None:
-        """Freeze the accepting leaf's cover: the trail plus the smaller
-        endpoint of each remaining isolated edge."""
-        cover = list(self._trail)
-        if isolated:
-            udeg = self._udeg
-            flags = self._flags
-            for v in range(self.graph.vertex_count):
-                if not flags[v] and udeg[v] == 1:
-                    for w in self._adj[v]:
-                        if not flags[w]:
-                            if v < w:
-                                cover.append(v)
-                            break
-        self._certificate = frozenset(cover)
+    def _isolated_ends(self) -> list[int]:
+        """The smaller endpoint of each uncovered edge, in one O(n + m)
+        pass.
+
+        Meant for a position with no center left, where every unselected
+        vertex has at most one unselected neighbor: then the uncovered
+        edges are pairwise disjoint and each is reported once.
+        """
+        flags = self._flags
+        ends = []
+        for v, neighbors in enumerate(self._adj):
+            if not flags[v]:
+                for w in neighbors:
+                    if not flags[w]:
+                        if v < w:
+                            ends.append(v)
+                        break
+        return ends
 
     # -- the search ------------------------------------------------------
 
@@ -392,7 +354,9 @@ class BranchSolver:
         branch costs more than the budget is counted as a failed node at
         depth + 1 but never entered, so nothing is selected beyond the
         budget, while nodes_expanded and max_depth still describe the
-        whole tree the branching rule visits.
+        whole tree the branching rule visits.  A node with no frontier
+        left decides itself: its remaining uncovered edges are disjoint,
+        and it succeeds iff the budget covers one endpoint of each.
         """
         branches = _BRANCHES[self.strategy]
         n_branches = len(branches)
@@ -401,8 +365,10 @@ class BranchSolver:
             if self.strategy is Strategy.EDGE_BRANCH
             else self._next_triplet
         )
-        select = self._select
-        deselect = self._deselect
+        flags = self._flags
+        live = self._live
+        candidates = self._candidates
+        trail = self._trail
         stack: list[list] = []
         nodes = 0
         max_depth = 0
@@ -420,11 +386,10 @@ class BranchSolver:
                 stack.append([frontier, -1, k, entry_ptr])
                 found = False
             else:
-                # A scan that finds nothing leaves the pointer alone.
-                isolated = self._cnt1 >> 1
-                found = isolated <= k
+                ends = self._isolated_ends()
+                found = len(ends) <= k
                 if found:
-                    self._capture_certificate(isolated)
+                    self._certificate = frozenset(trail + ends)
             # Pass the outcome up until a frame has a branch left that its
             # budget affords.  A branch over budget would fail at once: it
             # counts as a node at depth len(stack) but is never entered.
@@ -433,7 +398,9 @@ class BranchSolver:
                 frontier, b, budget, entry_ptr = frame
                 if b >= 0:
                     for _ in branches[b]:
-                        deselect()
+                        v = trail.pop()
+                        flags[v] = 0
+                        live[v] = candidates[v]
                 if not found:
                     b += 1
                     while b < n_branches and len(branches[b]) > budget:
@@ -443,7 +410,10 @@ class BranchSolver:
                         branch = branches[b]
                         frame[1] = b
                         for i in branch:
-                            select(frontier[i])
+                            v = frontier[i]
+                            flags[v] = 1
+                            live[v] = 0
+                            trail.append(v)
                         k = budget - len(branch)
                         break
                     # Some child at this depth was entered or counted.

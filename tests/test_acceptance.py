@@ -39,9 +39,7 @@ def _session_snapshot(solver: BranchSolver):
     return (
         bytes(solver._flags),
         solver.selected,
-        list(solver._udeg),
-        solver._cnt1,
-        solver._cnt2,
+        bytes(solver._live),
     )
 
 

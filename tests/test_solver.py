@@ -51,9 +51,7 @@ def _session_snapshot(solver: BranchSolver):
     return (
         bytes(solver._flags),
         solver.selected,
-        list(solver._udeg),
-        solver._cnt1,
-        solver._cnt2,
+        bytes(solver._live),
     )
 
 
@@ -111,15 +109,17 @@ def test_find_frontier_matches_definition_on_random_graphs():
         assert find_frontier(g, selected) == _frontier_by_definition(g, selected)
 
 
-def test_session_frontier_matches_reference():
-    # the incremental counts must reproduce find_frontier at any state
-    # reachable through select/deselect, in any order
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_session_frontier_matches_reference(strategy):
+    # the session's scan must reproduce find_frontier at any state
+    # reachable through select/deselect, in any order; the candidate
+    # mask it scans depends on the strategy
     rng = random.Random(777)
     for trial in range(60):
         n = rng.randrange(1, 14)
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         g = gen_gnm(n, m, seed=rng.randrange(2**32))
-        solver = BranchSolver(g)
+        solver = BranchSolver(g, strategy)
         for step in range(25):
             if solver.selected and rng.random() < 0.4:
                 solver.deselect()
@@ -202,6 +202,25 @@ def test_decide_two_isolated_edges(strategy):
         assert result.certificate == frozenset({0, 2})
     assert verify_cover(matching_graph(2), result.certificate)
     assert decide_vc(matching_graph(2), 1, strategy).decision is False
+
+
+@pytest.mark.parametrize("strategy", (Strategy.PAPER_FIVE, Strategy.CLASSIC_P3))
+def test_decide_isolated_edges_below_the_last_center(strategy):
+    # isolated edges {0,1} and {2,3} lie below the star centered at 6 and
+    # {8,9} above it; once 6 is selected no center is left, the scan
+    # pointer sits past the low edges, and the terminal rule must still
+    # count and cover all three
+    g = Graph(10, [(0, 1), (2, 3), (4, 6), (5, 6), (6, 7), (8, 9)])
+    tau = brute_force_tau(g)
+    assert tau == 4
+    result = decide_vc(g, tau, strategy)
+    assert result.decision is True
+    # the star's center plus the smaller endpoint of each isolated edge
+    assert result.certificate == frozenset({0, 2, 6, 8})
+    assert verify_cover(g, result.certificate)
+    below = decide_vc(g, tau - 1, strategy)
+    assert below.decision is False
+    assert below.certificate is None
 
 
 def test_decide_rejects_negative_budget():
@@ -337,16 +356,21 @@ def _relabeled_planted(seed):
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_selection_never_exceeds_budget(seed, monkeypatch):
-    # branches over budget are counted as nodes but never selected
+    # branches over budget are counted as nodes but never selected; every
+    # entered node scans exactly once, so recording the selection's size
+    # at each scan sees every selection the search makes
     g = _relabeled_planted(seed)
     lengths = []
-    select = BranchSolver._select
 
-    def recording_select(self, v):
-        select(self, v)
-        lengths.append(len(self._trail))
+    def recording(scan):
+        def wrapper(self):
+            lengths.append(len(self._trail))
+            return scan(self)
 
-    monkeypatch.setattr(BranchSolver, "_select", recording_select)
+        return wrapper
+
+    for name in ("_next_triplet", "_next_uncovered_edge"):
+        monkeypatch.setattr(BranchSolver, name, recording(getattr(BranchSolver, name)))
     for strategy in ALL_STRATEGIES:
         for k in (6, 5):
             lengths.clear()
@@ -486,8 +510,8 @@ def _interrupt_at_line(n: int):
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_interrupt_at_any_line_restores_session(strategy):
     # a triangle with a pendant edge (tau 2): deciding k=1 walks the whole
-    # tree, so the sweep hits every line of the search and of the count
-    # updates, including halfway through a _select or _deselect
+    # tree, so the sweep hits every line of the search and of the scans,
+    # including halfway through selecting or deselecting a branch
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     solver = BranchSolver(g, strategy)
     before = _session_snapshot(solver)
