@@ -109,24 +109,24 @@ def test_find_frontier_matches_definition_on_random_graphs():
         assert find_frontier(g, selected) == _frontier_by_definition(g, selected)
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-def test_session_frontier_matches_reference(strategy):
+def test_session_frontier_matches_reference():
     # the session's scan must reproduce find_frontier at any state
     # reachable through select/deselect, in any order; the candidate
-    # mask it scans depends on the strategy
-    rng = random.Random(777)
-    for trial in range(60):
-        n = rng.randrange(1, 14)
-        m = rng.randrange(0, n * (n - 1) // 2 + 1)
-        g = gen_gnm(n, m, seed=rng.randrange(2**32))
-        solver = BranchSolver(g, strategy)
-        for step in range(25):
-            if solver.selected and rng.random() < 0.4:
-                solver.deselect()
-            elif len(solver.selected) < n:
-                v = rng.choice([u for u in range(n) if u not in solver.selected])
-                solver.select(v)
-            assert solver.frontier() == find_frontier(g, solver.selected)
+    # mask it scans depends on the strategy, so every strategy runs
+    for strategy in ALL_STRATEGIES:
+        rng = random.Random(777)
+        for trial in range(60):
+            n = rng.randrange(1, 14)
+            m = rng.randrange(0, n * (n - 1) // 2 + 1)
+            g = gen_gnm(n, m, seed=rng.randrange(2**32))
+            solver = BranchSolver(g, strategy)
+            for step in range(25):
+                if solver.selected and rng.random() < 0.4:
+                    solver.deselect()
+                elif len(solver.selected) < n:
+                    v = rng.choice([u for u in range(n) if u not in solver.selected])
+                    solver.select(v)
+                assert solver.frontier() == find_frontier(g, solver.selected), strategy
 
 
 def test_session_select_validates():
