@@ -10,7 +10,10 @@ Vertex ids on ``e`` lines are 1-based, per the format; everything else
 in this package is 0-based, so parsing subtracts one and writing adds
 it back.  Duplicate and reversed edge lines collapse silently.  A
 declared edge count that disagrees with the distinct edges found is
-reported as a warning, not an error.
+reported as a warning, not an error.  The problem line may declare at
+most MAX_VERTICES vertices; a larger n is rejected at that line, before
+anything is allocated for it, since building a Graph costs memory per
+declared vertex.
 
 Canonical output is the problem line with the exact distinct edge
 count followed by the edges sorted ascending, so parse(write(g)) == g.
@@ -21,6 +24,13 @@ from __future__ import annotations
 import warnings
 
 from .graph import Graph
+
+
+# The largest vertex count a problem line may declare.  Building a Graph
+# takes about 75 bytes per declared vertex even with no edges, so this
+# keeps what a header alone can make it allocate under 1 GB, 500 times
+# above the largest benchmarked graph (20000 vertices).
+MAX_VERTICES = 10_000_000
 
 
 class DimacsError(ValueError):
@@ -42,21 +52,35 @@ def parse_dimacs(data: str | bytes) -> Graph:
 
     Raises DimacsError (with the offending line number) on a missing or
     duplicate problem line, an edge line before the problem line,
-    unrecognized line types, malformed numbers, out-of-range vertex ids,
-    or self-loops.
+    unrecognized line types, malformed numbers, a declared vertex count
+    above MAX_VERTICES, out-of-range vertex ids, or self-loops.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
 
     n: int | None = None
+    top = 0  # largest valid 1-based id; 0 until the problem line
     declared_m = 0
     edges: list[tuple[int, int]] = []
+    append = edges.append
 
     for lineno, raw in enumerate(data.splitlines(), start=1):
+        fields = raw.split()
+        # The common case first: a well-formed edge line after the
+        # problem line.  Anything else, errors included, falls through.
+        if len(fields) == 3 and fields[0] == "e":
+            try:
+                u = int(fields[1])
+                v = int(fields[2])
+            except ValueError:
+                pass
+            else:
+                if 0 < u <= top and 0 < v <= top and u != v:
+                    append((u - 1, v - 1))
+                    continue
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        fields = line.split()
         tag = fields[0]
         if tag == "p":
             if n is not None:
@@ -72,6 +96,13 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 ) from None
             if n < 0 or declared_m < 0:
                 raise DimacsError("negative count in problem line", lineno)
+            if n > MAX_VERTICES:
+                raise DimacsError(
+                    f"problem line declares {n} vertices, more than the "
+                    f"{MAX_VERTICES} accepted",
+                    lineno,
+                )
+            top = n
         elif tag == "e":
             if n is None:
                 raise DimacsError("edge line before problem line", lineno)
@@ -88,9 +119,8 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 raise DimacsError(
                     f"vertex id outside 1..{n} in edge ({u}, {v})", lineno
                 )
-            if u == v:
-                raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
-            edges.append((u - 1, v - 1))
+            # The common case took every valid edge line: this one is a loop.
+            raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
         else:
             raise DimacsError(f"unrecognized line type {tag!r}", lineno)
 

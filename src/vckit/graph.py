@@ -10,6 +10,7 @@ symmetric adjacency).
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import eq
 from typing import Iterable, Iterator
 
 
@@ -26,6 +27,11 @@ class Graph:
     edges : iterable of (u, v) pairs.  Duplicates and reversed copies
         collapse to a single undirected edge; self-loops and ids outside
         the vertex range raise GraphError naming the offending pair.
+
+    Construction is one pass over the edges that appends each endpoint
+    to the other's neighbor list, then a sort of every list: O(n + m log m)
+    time and one list per vertex, plus one set for each vertex whose list
+    holds a repeated neighbor.
     """
 
     __slots__ = ("_n", "_m", "_adj")
@@ -34,7 +40,7 @@ class Graph:
         if vertex_count < 0:
             raise GraphError(f"vertex_count must be >= 0, got {vertex_count}")
         n = vertex_count
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphError(
@@ -42,10 +48,16 @@ class Graph:
                 )
             if u == v:
                 raise GraphError(f"edge ({u}, {v}) is a self-loop")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
+        for a in adj:
+            if len(a) > 1:
+                a.sort()
+                # A repeated or reversed edge shows as two equal neighbors.
+                if any(map(eq, a, a[1:])):
+                    a[:] = sorted(set(a))
         self._n = n
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._adj = tuple(map(tuple, adj))
         self._m = sum(map(len, self._adj)) // 2
 
     @property

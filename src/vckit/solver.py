@@ -138,9 +138,10 @@ def find_frontier(g: Graph, selected) -> FrontierFinding:
     return NoUncoveredEdges()
 
 
-# Check the deadline every this many nodes; a power of two so the test
-# is a mask.
-_TIME_CHECK_MASK = 255
+# Check the deadline at the first entered node at or past each multiple
+# of this many nodes.  A threshold, not a mask on the count: skipped
+# over-budget children advance the count without entering a node.
+_TIME_CHECK_INTERVAL = 256
 
 # The ways each strategy covers a frontier, tried in order: each branch
 # lists the positions in the frontier of the vertices it selects.  The
@@ -371,13 +372,15 @@ class BranchSolver:
         trail = self._trail
         stack: list[list] = []
         nodes = 0
+        next_check = _TIME_CHECK_INTERVAL
         max_depth = 0
         while True:
             # Expand a node at depth len(stack) with budget k >= 0.
             nodes += 1
             if len(stack) > max_depth:
                 max_depth = len(stack)
-            if deadline is not None and not nodes & _TIME_CHECK_MASK:
+            if deadline is not None and nodes >= next_check:
+                next_check += _TIME_CHECK_INTERVAL
                 if time.perf_counter() > deadline:
                     raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
             entry_ptr = self._ptr

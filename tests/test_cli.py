@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vckit
 from vckit import CSV_HEADER, parse_dimacs, verify_cover, write_dimacs
+from vckit import cli
 from vckit.cli import main
+from vckit.dimacs import MAX_VERTICES
 
 from graphutil import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -80,6 +87,17 @@ def test_decide_malformed_graph(tmp_path, capsys):
     bad.write_text("p edge 2 1\ne 1 5\n")
     assert main(["decide", str(bad), "--k", "1"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_decide_declared_vertex_count_above_limit(tmp_path, capsys):
+    # a hostile header is an input error, found before anything is allocated
+    huge = tmp_path / "huge.col"
+    huge.write_text(f"p edge {MAX_VERTICES + 1} 0\n")
+    assert main(["decide", str(huge), "--k", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: problem line declares {MAX_VERTICES + 1} vertices, "
+        f"more than the {MAX_VERTICES} accepted\n"
+    )
 
 
 def test_decide_unknown_strategy_usage_error(p3_file, capsys):
@@ -246,3 +264,63 @@ def test_graph_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(write_dimacs(path_graph(3))))
     assert main(["decide", "-", "--k", "1"]) == 0
     assert "decision: true" in capsys.readouterr().out
+
+
+# -- one parser per process -------------------------------------------
+
+
+def test_main_does_not_rebuild_the_parser(p3_file, monkeypatch, capsys):
+    calls = []
+    real = cli.build_parser
+
+    def counting():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert main(["decide", p3_file, "--k", "1"]) == 0
+    assert main(["solve", p3_file, "--json"]) == 0
+    assert len(calls) <= 1
+    capsys.readouterr()
+
+
+def test_json_flag_does_not_carry_over(p3_file, capsys):
+    assert main(["decide", p3_file, "--k", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["decision"] is True
+    assert main(["decide", p3_file, "--k", "1"]) == 0
+    assert capsys.readouterr().out.startswith("decision: true\ncertificate: 1\n")
+
+
+def test_strategy_flag_does_not_carry_over(p3_file, monkeypatch, capsys):
+    seen = []
+    real = cli.min_vertex_cover
+
+    def recording(g, strategy, time_limit=None):
+        seen.append(strategy)
+        return real(g, strategy, time_limit=time_limit)
+
+    monkeypatch.setattr(cli, "min_vertex_cover", recording)
+    assert main(["solve", p3_file, "--strategy", "edge"]) == 0
+    assert main(["solve", p3_file]) == 0
+    assert seen == ["edge", "paper5"]
+    capsys.readouterr()
+
+
+def test_console_module_in_a_fresh_interpreter():
+    # import-time parser, the stdin path and the __main__ block, end to end
+    src = str(Path(vckit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vckit.cli", "decide", "-", "--k", "1", "--json"],
+        input=write_dimacs(path_graph(3)),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["decision"] is True
+    assert payload["certificate"] == [1]
+    assert verify_cover(path_graph(3), payload["certificate"])

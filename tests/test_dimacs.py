@@ -16,6 +16,7 @@ from vckit import (
     write_dimacs,
     write_dimacs_file,
 )
+from vckit.dimacs import MAX_VERTICES
 
 
 def test_parse_basic():
@@ -31,8 +32,12 @@ def test_parse_bytes_input():
 
 def test_parse_collapses_duplicates_with_warning():
     text = "p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n"
-    with pytest.warns(DimacsFormatWarning, match="declares 3 edges, found 2"):
+    with pytest.warns(DimacsFormatWarning) as record:
         g = parse_dimacs(text)
+    assert [str(w.message) for w in record] == [
+        "problem line declares 3 edges, found 2 distinct"
+    ]
+    assert record[0].filename == __file__  # reported at the caller
     assert g.edge_count == 2
 
 
@@ -41,52 +46,79 @@ def test_parse_ignores_blank_lines_and_whitespace():
     assert g.edge_count == 1
 
 
+def _error(text: str) -> tuple[str, int | None]:
+    """The full message and line number of the DimacsError text raises."""
+    with pytest.raises(DimacsError) as info:
+        parse_dimacs(text)
+    return str(info.value), info.value.line
+
+
 def test_edge_before_problem_line():
-    with pytest.raises(DimacsError, match="line 1"):
-        parse_dimacs("e 1 2\np edge 2 1\n")
+    assert _error("e 1 2\np edge 2 1\n") == (
+        "line 1: edge line before problem line", 1
+    )
 
 
 def test_missing_problem_line():
-    with pytest.raises(DimacsError, match="missing problem line"):
-        parse_dimacs("c nothing here\n")
+    assert _error("c nothing here\n") == ("missing problem line", None)
 
 
 def test_duplicate_problem_line():
-    with pytest.raises(DimacsError, match="line 2: duplicate"):
-        parse_dimacs("p edge 2 1\np edge 2 1\ne 1 2\n")
+    assert _error("p edge 2 1\np edge 2 1\ne 1 2\n") == (
+        "line 2: duplicate problem line", 2
+    )
 
 
 def test_malformed_problem_line():
-    with pytest.raises(DimacsError, match="line 1"):
-        parse_dimacs("p edge 2\n")
-    with pytest.raises(DimacsError, match="line 1"):
-        parse_dimacs("p col 2 1\n")
-    with pytest.raises(DimacsError, match="non-integer"):
-        parse_dimacs("p edge two 1\n")
+    shape = "line 1: problem line must be 'p edge <n> <m>'"
+    assert _error("p edge 2\n") == (shape, 1)
+    assert _error("p col 2 1\n") == (shape, 1)
+    assert _error("p edge two 1\n") == (
+        "line 1: non-integer field in problem line: 'p edge two 1'", 1
+    )
+    assert _error("p edge 2 -1\n") == ("line 1: negative count in problem line", 1)
+
+
+def test_declared_vertex_count_above_limit():
+    # rejected at the problem line, before a Graph of that size is built
+    n = MAX_VERTICES + 1
+    assert _error(f"c header\np edge {n} 0\n") == (
+        f"line 2: problem line declares {n} vertices, "
+        f"more than the {MAX_VERTICES} accepted",
+        2,
+    )
 
 
 def test_vertex_id_out_of_range():
-    with pytest.raises(DimacsError, match=r"line 2: vertex id outside 1\.\.3"):
-        parse_dimacs("p edge 3 1\ne 1 4\n")
-    with pytest.raises(DimacsError, match="line 2"):
-        parse_dimacs("p edge 3 1\ne 0 1\n")
+    assert _error("p edge 3 1\ne 1 4\n") == (
+        "line 2: vertex id outside 1..3 in edge (1, 4)", 2
+    )
+    assert _error("p edge 3 1\ne 0 1\n") == (
+        "line 2: vertex id outside 1..3 in edge (0, 1)", 2
+    )
 
 
 def test_self_loop_rejected():
-    with pytest.raises(DimacsError, match=r"line 2: self-loop"):
-        parse_dimacs("p edge 3 1\ne 2 2\n")
+    assert _error("p edge 3 1\ne 2 2\n") == ("line 2: self-loop edge (2, 2)", 2)
+    # after valid edges, with comments, blank lines and odd whitespace
+    assert _error("c hdr\n\np edge 3 2\n  e 1 2 \t\ne 3 3\n") == (
+        "line 5: self-loop edge (3, 3)", 5
+    )
 
 
 def test_unrecognized_line_type():
-    with pytest.raises(DimacsError, match="line 2: unrecognized"):
-        parse_dimacs("p edge 2 1\nx 1 2\n")
+    assert _error("p edge 2 1\nx 1 2\n") == (
+        "line 2: unrecognized line type 'x'", 2
+    )
 
 
 def test_malformed_edge_line():
-    with pytest.raises(DimacsError, match="line 2"):
-        parse_dimacs("p edge 2 1\ne 1\n")
-    with pytest.raises(DimacsError, match="non-integer"):
-        parse_dimacs("p edge 2 1\ne 1 b\n")
+    assert _error("p edge 2 1\ne 1\n") == (
+        "line 2: edge line must be 'e <u> <v>'", 2
+    )
+    assert _error("p edge 2 1\ne 1 b\n") == (
+        "line 2: non-integer vertex id in edge line: 'e 1 b'", 2
+    )
 
 
 def test_write_canonical():
@@ -124,8 +156,13 @@ def test_round_trip_random_graphs():
 
 def test_parse_any_line_order_equals_graph_of_distinct_edges():
     # Graph, not the parser, dedups and orders: shuffled, reversed and
-    # repeated e lines give the same Graph and the distinct count.
+    # repeated e lines give the same Graph and the distinct count, with
+    # any whitespace around and inside the e lines, c and blank lines
+    # between them, and \n or \r\n line endings.
     rng = random.Random(4242)
+    pads = ("", " ", "\t", " \t ")
+    seps = (" ", "\t", "  ", " \t")
+    fillers = ("c between edges", "  c\tindented", "c", "", "   ", "\t")
     for trial in range(30):
         n = rng.randrange(2, 30)
         m = rng.randrange(1, n * (n - 1) // 2 + 1)
@@ -133,9 +170,16 @@ def test_parse_any_line_order_equals_graph_of_distinct_edges():
         lines = distinct + [(v, u) for u, v in distinct]
         lines += rng.sample(distinct, rng.randrange(1, m + 1))
         rng.shuffle(lines)
-        text = f"p edge {n} {len(lines)}\n" + "".join(
-            f"e {u + 1} {v + 1}\n" for u, v in lines
-        )
+        layout = [f"p edge {n} {len(lines)}"]
+        for u, v in lines:
+            if rng.random() < 0.2:
+                layout.append(rng.choice(fillers))
+            sep = rng.choice(seps)
+            layout.append(
+                f"{rng.choice(pads)}e{sep}{u + 1}{sep}{v + 1}{rng.choice(pads)}"
+            )
+        eol = rng.choice(("\n", "\r\n"))
+        text = eol.join(layout) + eol
         with pytest.warns(
             DimacsFormatWarning, match=f"declares {len(lines)} edges, found {m} distinct"
         ):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import signal
 import sys
 import threading
@@ -485,6 +486,46 @@ def test_timeout_raises_and_restores_session():
     assert _session_snapshot(solver) == before
     # the session stays usable afterwards
     assert solver.decide(tau).decision is True
+
+
+# Trees of 512+ nodes, decided false: (graph, k).  Their searches skip
+# over-budget children, so the node count steps over most multiples of
+# 256; the deadline must still be checked within the first 512 nodes.
+_LARGE_TREES = {
+    "planted_n1000": (lambda: gen_planted(1000, 9, 500, 7).graph, 8),
+    "planted_n200": (lambda: gen_planted(200, 7, 100, 1).graph, 6),
+    "gnm_n18": (lambda: gen_gnm(18, 54, seed=5), 11),
+}
+
+
+@pytest.mark.parametrize(
+    "strategy, tree",
+    [
+        ("paper5", "planted_n1000"),
+        ("edge", "planted_n1000"),
+        ("paper5", "planted_n200"),
+        ("p3", "gnm_n18"),
+        ("edge", "gnm_n18"),
+    ],
+)
+def test_zero_time_limit_times_out_large_trees(strategy, tree):
+    build, k = _LARGE_TREES[tree]
+    solver = BranchSolver(build(), strategy)
+    before = _session_snapshot(solver)
+    full = solver.decide(k)
+    assert full.decision is False
+    assert full.stats.nodes_expanded >= 512
+    with pytest.raises(SolveTimeout) as info:
+        solver.decide(k, time_limit=0.0)
+    # the first check comes at the first entered node from 256 on
+    match = re.fullmatch(r"time limit exceeded after (\d+) nodes", str(info.value))
+    assert 256 <= int(match[1]) < 512
+    assert _session_snapshot(solver) == before
+    again = solver.decide(k)
+    assert (again.decision, again.stats.nodes_expanded) == (
+        False,
+        full.stats.nodes_expanded,
+    )
 
 
 def _interrupt_at_line(n: int):
