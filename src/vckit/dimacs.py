@@ -59,51 +59,17 @@ def parse_dimacs(data: str | bytes) -> Graph:
         data = data.decode("utf-8", errors="replace")
 
     n: int | None = None
-    top = 0  # largest valid 1-based id; 0 until the problem line
     declared_m = 0
     edges: list[tuple[int, int]] = []
     append = edges.append
 
     for lineno, raw in enumerate(data.splitlines(), start=1):
         fields = raw.split()
-        # The common case first: a well-formed edge line after the
-        # problem line.  Anything else, errors included, falls through.
-        if len(fields) == 3 and fields[0] == "e":
-            try:
-                u = int(fields[1])
-                v = int(fields[2])
-            except ValueError:
-                pass
-            else:
-                if 0 < u <= top and 0 < v <= top and u != v:
-                    append((u - 1, v - 1))
-                    continue
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        if not fields:
             continue
         tag = fields[0]
-        if tag == "p":
-            if n is not None:
-                raise DimacsError("duplicate problem line", lineno)
-            if len(fields) != 4 or fields[1] != "edge":
-                raise DimacsError("problem line must be 'p edge <n> <m>'", lineno)
-            try:
-                n = int(fields[2])
-                declared_m = int(fields[3])
-            except ValueError:
-                raise DimacsError(
-                    f"non-integer field in problem line: {line!r}", lineno
-                ) from None
-            if n < 0 or declared_m < 0:
-                raise DimacsError("negative count in problem line", lineno)
-            if n > MAX_VERTICES:
-                raise DimacsError(
-                    f"problem line declares {n} vertices, more than the "
-                    f"{MAX_VERTICES} accepted",
-                    lineno,
-                )
-            top = n
-        elif tag == "e":
+        # Edge lines are nearly every line, so they are tested first.
+        if tag == "e":
             if n is None:
                 raise DimacsError("edge line before problem line", lineno)
             if len(fields) != 3:
@@ -113,14 +79,37 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 v = int(fields[2])
             except ValueError:
                 raise DimacsError(
-                    f"non-integer vertex id in edge line: {line!r}", lineno
+                    f"non-integer vertex id in edge line: {raw.strip()!r}", lineno
                 ) from None
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise DimacsError(
                     f"vertex id outside 1..{n} in edge ({u}, {v})", lineno
                 )
-            # The common case took every valid edge line: this one is a loop.
-            raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
+            if u == v:
+                raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
+            append((u - 1, v - 1))
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            if n is not None:
+                raise DimacsError("duplicate problem line", lineno)
+            if len(fields) != 4 or fields[1] != "edge":
+                raise DimacsError("problem line must be 'p edge <n> <m>'", lineno)
+            try:
+                n = int(fields[2])
+                declared_m = int(fields[3])
+            except ValueError:
+                raise DimacsError(
+                    f"non-integer field in problem line: {raw.strip()!r}", lineno
+                ) from None
+            if n < 0 or declared_m < 0:
+                raise DimacsError("negative count in problem line", lineno)
+            if n > MAX_VERTICES:
+                raise DimacsError(
+                    f"problem line declares {n} vertices, more than the "
+                    f"{MAX_VERTICES} accepted",
+                    lineno,
+                )
         else:
             raise DimacsError(f"unrecognized line type {tag!r}", lineno)
 
