@@ -28,17 +28,12 @@ from .graph import Graph, GraphError
 from .oracle import BRUTE_FORCE_VERTEX_LIMIT, brute_force_tau, verify_cover
 from .solver import (
     BranchSolver,
-    FrontierFinding,
-    IsolatedEdgesOnly,
     MinCoverResult,
-    NoUncoveredEdges,
     SolveResult,
     SolveStats,
     SolveTimeout,
     Strategy,
-    Triplet,
     decide_vc,
-    find_frontier,
     greedy_maximal_matching,
     min_vertex_cover,
 )
@@ -54,22 +49,17 @@ __all__ = [
     "CSV_HEADER",
     "DimacsError",
     "DimacsFormatWarning",
-    "FrontierFinding",
     "Graph",
     "GraphError",
-    "IsolatedEdgesOnly",
     "MinCoverResult",
-    "NoUncoveredEdges",
     "PlantedInstance",
     "SolveResult",
     "SolveStats",
     "SolveTimeout",
     "Strategy",
-    "Triplet",
     "brute_force_tau",
     "decide_vc",
     "estimate_branching_factor",
-    "find_frontier",
     "gen_gnm",
     "gen_planted",
     "greedy_maximal_matching",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import (
@@ -25,7 +26,7 @@ from .generate import gen_planted
 from .graph import Graph
 from .oracle import verify_cover
 from .solver import (
-    SolveResult,
+    SolveStats,
     SolveTimeout,
     Strategy,
     decide_vc,
@@ -63,20 +64,20 @@ def _read_cover(path: str) -> list[int]:
     return ids
 
 
-def _stats_dict(result: SolveResult) -> dict:
+def _stats_dict(stats: SolveStats) -> dict:
     return {
-        "nodes_expanded": result.stats.nodes_expanded,
-        "max_depth": result.stats.max_depth,
-        "triplet_scans": result.stats.triplet_scans,
-        "elapsed_ms": result.stats.elapsed_ms,
+        "nodes_expanded": stats.nodes_expanded,
+        "max_depth": stats.max_depth,
+        "triplet_scans": stats.triplet_scans,
+        "elapsed_ms": stats.elapsed_ms,
     }
 
 
-def _print_stats_text(result: SolveResult) -> None:
-    print(f"nodes_expanded: {result.stats.nodes_expanded}")
-    print(f"max_depth: {result.stats.max_depth}")
-    print(f"triplet_scans: {result.stats.triplet_scans}")
-    print(f"time_ms: {result.stats.elapsed_ms:.3f}")
+def _print_stats_text(stats: SolveStats) -> None:
+    print(f"nodes_expanded: {stats.nodes_expanded}")
+    print(f"max_depth: {stats.max_depth}")
+    print(f"triplet_scans: {stats.triplet_scans}")
+    print(f"time_ms: {stats.elapsed_ms:.3f}")
 
 
 def _cmd_decide(args) -> int:
@@ -88,14 +89,14 @@ def _cmd_decide(args) -> int:
             "certificate": (
                 None if result.certificate is None else sorted(result.certificate)
             ),
-            "stats": _stats_dict(result),
+            "stats": _stats_dict(result.stats),
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"decision: {'true' if result.decision else 'false'}")
         if result.decision:
             print(f"certificate: {' '.join(map(str, sorted(result.certificate)))}")
-        _print_stats_text(result)
+        _print_stats_text(result.stats)
     return 0 if result.decision else 1
 
 
@@ -104,18 +105,17 @@ def _cmd_solve(args) -> int:
     size, cover, stats = min_vertex_cover(
         g, args.strategy, time_limit=args.time_limit
     )
-    result = SolveResult(decision=True, certificate=cover, stats=stats)
     if args.json:
         payload = {
             "size": size,
             "cover": sorted(cover),
-            "stats": _stats_dict(result),
+            "stats": _stats_dict(stats),
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"size: {size}")
         print(f"cover: {' '.join(map(str, sorted(cover)))}")
-        _print_stats_text(result)
+        _print_stats_text(stats)
     return 0
 
 
@@ -126,6 +126,8 @@ def _cmd_gen(args) -> int:
         extra = args.extra_edges
     else:
         ratio = 0.5 if args.extra_edge_ratio is None else args.extra_edge_ratio
+        if not math.isfinite(ratio):
+            raise ValueError(f"--extra-edge-ratio must be finite, got {ratio}")
         extra = round(ratio * args.n)
     instance = gen_planted(args.n, args.k, extra, args.seed)
     comments = (
@@ -181,21 +183,11 @@ def _cmd_bench(args) -> int:
     records = run_benchmark(config)
     sys.stdout.write(write_report(records, "table"))
 
-    fittable = [
-        r for r in records if not r.timed_out and not r.error
-    ]
-    by_group: dict = {}
-    for r in fittable:
-        by_group.setdefault((r.strategy, r.n), set()).add(r.k_input)
-    qualified = [
-        r
-        for r in fittable
-        if len(by_group[(r.strategy, r.n)]) >= 3
-    ]
-    if qualified:
+    fits = estimate_branching_factor(records)
+    if fits:
         print()
         print("branching-factor fits (log nodes_expanded vs k):")
-        for fit in estimate_branching_factor(qualified):
+        for fit in fits:
             print(
                 f"  strategy={fit.strategy.value} n={fit.n}: "
                 f"base={fit.base:.3f} (slope={fit.slope:.4f}, "

@@ -13,6 +13,13 @@ neighbors of each candidate it visits only until it has found the
 unselected ones it needs, and a node with no frontier left pays one
 O(n + m) pass to count the uncovered edges.
 
+The frontier is deterministic: the first center in ascending id order
+with its two smallest unselected neighbors, or for edge the
+lexicographically smallest uncovered edge.  It is internal to the
+search; the public entry points are BranchSolver.decide and the
+decide_vc and min_vertex_cover wrappers, which report a decision, a
+certificate and search counters.
+
 Three interchangeable strategies answer the same predicate and differ
 only in their list of branches, and so in search-tree shape:
 
@@ -35,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .graph import Graph
 from .oracle import verify_cover
@@ -51,27 +58,6 @@ class Strategy(str, Enum):
 
 class SolveTimeout(Exception):
     """Raised when a decide() call exceeds its time limit."""
-
-
-class Triplet(NamedTuple):
-    """A path u-v-w: edges {u,v} and {v,w} with all three unselected."""
-
-    u: int
-    v: int
-    w: int
-
-
-class IsolatedEdgesOnly(NamedTuple):
-    """Only pairwise-disjoint uncovered edges remain; there are `count`."""
-
-    count: int
-
-
-class NoUncoveredEdges(NamedTuple):
-    """Every edge has a selected endpoint: the selection is a cover."""
-
-
-FrontierFinding = Union[Triplet, IsolatedEdgesOnly, NoUncoveredEdges]
 
 
 @dataclass
@@ -104,40 +90,6 @@ class SolveResult:
     stats: SolveStats
 
 
-def find_frontier(g: Graph, selected) -> FrontierFinding:
-    """Locate the next branching spot, deterministically.
-
-    Scans ids ascending for the first unselected center v with at least
-    two unselected neighbors, and returns Triplet(u, v, w) where u < w
-    are the two smallest such neighbors.  When no center exists, every
-    uncovered edge is vertex-disjoint from the rest; the count of those
-    is returned, or NoUncoveredEdges when there are none.
-
-    This is the reference scan.  BranchSolver reproduces it without
-    rescanning from id 0: it resumes from a pointer, skips vertices that
-    cannot be centers, and counts the isolated edges only once no
-    center is left.
-    """
-    endpoints = 0  # unselected vertices with exactly one unselected neighbor
-    for v in range(g.vertex_count):
-        if v in selected:
-            continue
-        first = -1
-        for w in g.neighbors(v):
-            if w not in selected:
-                if first < 0:
-                    first = w
-                else:
-                    return Triplet(first, v, w)
-        if first >= 0:
-            endpoints += 1
-    if endpoints:
-        # With no center anywhere, uncovered edges pair up their
-        # endpoints one-to-one, so the count is exactly half.
-        return IsolatedEdgesOnly(endpoints // 2)
-    return NoUncoveredEdges()
-
-
 # Check the deadline at the first entered node at or past each multiple
 # of this many nodes.  A threshold, not a mask on the count: skipped
 # over-budget children advance the count without entering a node.
@@ -154,21 +106,20 @@ _BRANCHES = {
 
 
 class BranchSolver:
-    """One search session over a fixed graph and strategy.
+    """A reusable decision session over a fixed graph and strategy.
 
-    The session owns the selection: per-vertex flags plus a trail in
-    selection order.  Beside it sits one byte per vertex marking the
-    unselected scan candidates, the vertices that can head a frontier
-    at all (degree two or more for paper5 and p3, one or more for
-    edge).  Selecting or deselecting a vertex touches only those three
-    structures, so it is O(1) whatever the vertex's degree.  A scan
-    jumps from candidate to candidate and checks a candidate's
-    neighbors only until it has found the unselected ones it needs, and
-    a monotone scan pointer (saved and restored around every branch)
-    keeps it from revisiting candidates already ruled out.  select()
-    and deselect() are the only ways to change the selection;
-    `selected` is a read-only copy.  decide() restores everything
-    before returning, so one session can be reused across budgets.
+    decide() is its one operation.  The selection it searches over is
+    private: per-vertex flags plus a trail in selection order.  Beside
+    it sits one byte per vertex marking the unselected scan candidates,
+    the vertices that can head a frontier at all (degree two or more
+    for paper5 and p3, one or more for edge).  Selecting or deselecting
+    a vertex touches only those three structures, so it is O(1)
+    whatever the vertex's degree.  A scan jumps from candidate to
+    candidate and checks a candidate's neighbors only until it has
+    found the unselected ones it needs, and a monotone scan pointer
+    (saved and restored around every branch) keeps it from revisiting
+    candidates already ruled out.  Every way out of decide() leaves
+    the selection empty, so one session serves any number of budgets.
     """
 
     def __init__(self, graph: Graph, strategy: Strategy | str = Strategy.PAPER_FIVE):
@@ -195,62 +146,19 @@ class BranchSolver:
         self._live = bytearray(self._candidates)
         self._ptr = 0
 
-    # -- public session surface -------------------------------------
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        """The selected vertices in selection order."""
-        return tuple(self._trail)
-
-    def select(self, v: int) -> None:
-        """Add v to the selection."""
-        if not (0 <= v < self.graph.vertex_count):
-            raise ValueError(f"vertex id {v} out of range")
-        if self._flags[v]:
-            raise ValueError(f"vertex {v} is already selected")
-        self._flags[v] = 1
-        self._live[v] = 0
-        self._trail.append(v)
-
-    def deselect(self) -> int:
-        """Undo the most recent selection; returns the vertex."""
-        if not self._trail:
-            raise ValueError("deselect on an empty selection")
-        v = self._trail.pop()
-        self._flags[v] = 0
-        self._live[v] = self._candidates[v]
-        self._ptr = 0  # deselection can revive centers below the pointer
-        return v
-
-    def frontier(self) -> FrontierFinding:
-        """find_frontier for the current selection."""
-        saved = self._ptr
-        self._ptr = 0
-        try:
-            t = self._next_triplet()
-        finally:
-            self._ptr = saved
-        if t is not None:
-            return Triplet(*t)
-        isolated = len(self._isolated_ends())
-        if isolated:
-            return IsolatedEdgesOnly(isolated)
-        return NoUncoveredEdges()
-
     def decide(self, k: int, time_limit: float | None = None) -> SolveResult:
         """Decide tau(graph) <= k.
 
-        Requires an empty selection (a session mid-inspection should
-        be unwound first) and leaves it empty again.  time_limit is in
-        seconds; exceeding it raises SolveTimeout.  Any abort (timeout,
-        KeyboardInterrupt) leaves the session empty and usable.  The
-        search keeps its own stack, so any budget runs on the caller's
-        thread without touching the recursion limit.
+        A true decision carries a cover of at most k vertices as its
+        certificate.  time_limit is in seconds; exceeding it raises
+        SolveTimeout.  The selection is empty on entry and on every way
+        out: a finished search has unwound each branch, and an abort
+        (timeout, KeyboardInterrupt) rebuilds the session, which stays
+        usable.  The search keeps its own stack, so any budget runs on
+        the caller's thread without touching the recursion limit.
         """
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
-        if self._trail:
-            raise RuntimeError("decide() requires an empty selection")
         self._scans = 0
         self._certificate = None
         self._ptr = 0
@@ -292,7 +200,13 @@ class BranchSolver:
     # with.  A scan that finds nothing leaves the pointer alone.
 
     def _next_triplet(self):
-        """The Triplet of find_frontier as a plain tuple, or None."""
+        """The next path (u, v, w) to branch on, or None.
+
+        v is the first unselected vertex in ascending id order with at
+        least two unselected neighbors, and u < w are the two smallest
+        of them.  None means every uncovered edge is disjoint from the
+        rest.
+        """
         self._scans += 1
         flags = self._flags
         adj = self._adj

@@ -38,7 +38,7 @@ def _report(number: int, name: str, detail: str) -> None:
 def _session_snapshot(solver: BranchSolver):
     return (
         bytes(solver._flags),
-        solver.selected,
+        tuple(solver._trail),
         bytes(solver._live),
     )
 

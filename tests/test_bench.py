@@ -99,6 +99,10 @@ def test_config_validation():
         BenchConfig(seeds=[-3]).validate()
     with pytest.raises(ValueError, match="n/2"):
         BenchConfig(n_values=[10], k_values=[2, 6]).validate()
+    for ratio in (-0.5, float("inf"), float("nan")):
+        message = f"extra_edge_ratio must be finite and >= 0, got {ratio}"
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(extra_edge_ratio=ratio).validate()
     BenchConfig().validate()
 
 
@@ -196,23 +200,42 @@ def test_branching_fit_groups_by_strategy_and_n():
     assert math.isclose(fits[1].base, 3.0, rel_tol=1e-9)
 
 
+def _timed_out_record(strategy, n, k):
+    return BenchRecord(
+        n=n, k_input=k, tau=k, strategy=strategy, decision=None,
+        nodes_expanded=None, max_depth=None, time_ms=None, seed=1,
+        timed_out=True,
+    )
+
+
 def test_branching_fit_needs_three_k_values():
-    records = _fit_records(Strategy.EDGE_BRANCH, 100, [(4, 16), (6, 64)])
-    with pytest.raises(ValueError, match="distinct k"):
-        estimate_branching_factor(records)
+    # two points always fit a line exactly, so a two-k group gets no fit
+    short = _fit_records(Strategy.EDGE_BRANCH, 100, [(4, 16), (6, 64)])
+    assert estimate_branching_factor(short) == []
+    # a timed-out record does not make a third k
+    short.append(_timed_out_record(Strategy.EDGE_BRANCH, 100, 8))
+    assert estimate_branching_factor(short) == []
+    # and a short group does not stop the others from being fitted
+    full = _fit_records(Strategy.CLASSIC_P3, 100, [(k, 2**k) for k in (4, 6, 8)])
+    assert [(f.strategy, f.n) for f in estimate_branching_factor(short + full)] == [
+        (Strategy.CLASSIC_P3, 100)
+    ]
 
 
 def test_branching_fit_rejects_timed_out_groups():
+    # timed-out and failed records are left out of the fit, not fatal
     records = _fit_records(Strategy.EDGE_BRANCH, 100, [(k, 2**k) for k in (4, 6, 8)])
+    records.append(_timed_out_record(Strategy.EDGE_BRANCH, 100, 10))
     records.append(
         BenchRecord(
-            n=100, k_input=10, tau=10, strategy=Strategy.EDGE_BRANCH,
+            n=100, k_input=12, tau=None, strategy=Strategy.EDGE_BRANCH,
             decision=None, nodes_expanded=None, max_depth=None, time_ms=None,
-            seed=1, timed_out=True,
+            seed=1, error="infeasible",
         )
     )
-    with pytest.raises(ValueError, match="timed-out"):
-        estimate_branching_factor(records)
+    (fit,) = estimate_branching_factor(records)
+    assert fit.points == 3
+    assert math.isclose(fit.base, 2.0, rel_tol=1e-9)
 
 
 def test_parse_config_file(tmp_path):

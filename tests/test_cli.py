@@ -179,6 +179,16 @@ def test_gen_infeasible_parameters(capsys):
     assert "2k <= n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])
+def test_gen_rejects_non_finite_ratio(ratio, capsys):
+    assert main(["gen", "--n", "10", "--k", "2", f"--extra-edge-ratio={ratio}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --extra-edge-ratio must be finite, got {float(ratio)}\n"
+    )
+
+
 def test_verify_valid_cover(p3_file, tmp_path, capsys):
     cover = tmp_path / "cover.txt"
     cover.write_text("c chosen by hand\n1\n")
@@ -257,6 +267,17 @@ def test_bench_config_file(tmp_path, capsys):
 def test_bench_invalid_config(capsys):
     assert main(["bench", "--k", "0"]) == 2
     assert "k must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])
+def test_bench_rejects_non_finite_ratio(ratio, capsys):
+    rc = main(["bench", "--n", "40", "--k", "2", f"--extra-edge-ratio={ratio}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: extra_edge_ratio must be finite and >= 0, got {float(ratio)}\n"
+    )
 
 
 def test_graph_from_stdin(monkeypatch, capsys):

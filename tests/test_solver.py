@@ -1,5 +1,6 @@
-"""The branching solver: frontier scans, all three strategies, witnesses,
-backtracking purity, and agreement with the exhaustive oracle."""
+"""The branching solver: all three strategies, witnesses, backtracking
+purity, and agreement with the exhaustive oracle and with a reference
+recursion over the same frontier scan."""
 
 from __future__ import annotations
 
@@ -18,14 +19,10 @@ from hypothesis import strategies as st
 from vckit import (
     BranchSolver,
     Graph,
-    IsolatedEdgesOnly,
-    NoUncoveredEdges,
     SolveTimeout,
     Strategy,
-    Triplet,
     brute_force_tau,
     decide_vc,
-    find_frontier,
     gen_gnm,
     gen_planted,
     greedy_maximal_matching,
@@ -51,101 +48,9 @@ def _session_snapshot(solver: BranchSolver):
     """Everything decide() must restore."""
     return (
         bytes(solver._flags),
-        solver.selected,
+        tuple(solver._trail),
         bytes(solver._live),
     )
-
-
-# -- frontier scans ---------------------------------------------------
-
-
-def test_find_frontier_path():
-    assert find_frontier(path_graph(3), set()) == Triplet(0, 1, 2)
-
-
-def test_find_frontier_triangle():
-    # vertex 0 is the first center; 1 and 2 its smallest unselected neighbors
-    assert find_frontier(complete_graph(3), set()) == Triplet(1, 0, 2)
-
-
-def test_find_frontier_isolated_edges():
-    assert find_frontier(matching_graph(2), set()) == IsolatedEdgesOnly(2)
-
-
-def test_find_frontier_covered():
-    assert find_frontier(star_graph(3), {0}) == NoUncoveredEdges()
-    assert find_frontier(Graph(3), set()) == NoUncoveredEdges()
-
-
-def test_find_frontier_respects_selection():
-    # selecting the path center leaves nothing; selecting an end leaves an edge
-    p4 = path_graph(4)
-    assert find_frontier(p4, {1}) == IsolatedEdgesOnly(1)
-    assert find_frontier(p4, {0}) == Triplet(1, 2, 3)
-
-
-def _frontier_by_definition(g: Graph, selected: set[int]):
-    """Direct restatement of the contract, used as the property oracle."""
-    for v in range(g.vertex_count):
-        if v in selected:
-            continue
-        free = [w for w in g.neighbors(v) if w not in selected]
-        if len(free) >= 2:
-            return Triplet(free[0], v, free[1])
-    isolated = sum(
-        1
-        for u, v in g.edges()
-        if u not in selected and v not in selected
-    )
-    return IsolatedEdgesOnly(isolated) if isolated else NoUncoveredEdges()
-
-
-def test_find_frontier_matches_definition_on_random_graphs():
-    rng = random.Random(90125)
-    for trial in range(150):
-        n = rng.randrange(1, 16)
-        m = rng.randrange(0, n * (n - 1) // 2 + 1)
-        g = gen_gnm(n, m, seed=rng.randrange(2**32))
-        selected = {v for v in range(n) if rng.random() < 0.4}
-        assert find_frontier(g, selected) == _frontier_by_definition(g, selected)
-
-
-def test_session_frontier_matches_reference():
-    # the session's scan must reproduce find_frontier at any state
-    # reachable through select/deselect, in any order; the candidate
-    # mask it scans depends on the strategy, so every strategy runs
-    for strategy in ALL_STRATEGIES:
-        rng = random.Random(777)
-        for trial in range(60):
-            n = rng.randrange(1, 14)
-            m = rng.randrange(0, n * (n - 1) // 2 + 1)
-            g = gen_gnm(n, m, seed=rng.randrange(2**32))
-            solver = BranchSolver(g, strategy)
-            for step in range(25):
-                if solver.selected and rng.random() < 0.4:
-                    solver.deselect()
-                elif len(solver.selected) < n:
-                    v = rng.choice([u for u in range(n) if u not in solver.selected])
-                    solver.select(v)
-                assert solver.frontier() == find_frontier(g, solver.selected), strategy
-
-
-def test_session_select_validates():
-    solver = BranchSolver(path_graph(4))
-    assert solver.selected == ()
-    solver.select(3)
-    solver.select(0)
-    assert solver.selected == (3, 0)  # a read-only tuple, in selection order
-    with pytest.raises(ValueError, match="already selected"):
-        solver.select(3)
-    for bad in (4, 7, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            solver.select(bad)
-    assert solver.frontier() == find_frontier(solver.graph, solver.selected)
-    assert solver.deselect() == 0
-    assert solver.deselect() == 3
-    with pytest.raises(ValueError, match="empty selection"):
-        solver.deselect()
 
 
 # -- decide: worked examples ------------------------------------------
@@ -227,15 +132,6 @@ def test_decide_isolated_edges_below_the_last_center(strategy):
 def test_decide_rejects_negative_budget():
     with pytest.raises(ValueError, match="k must be >= 0"):
         decide_vc(path_graph(3), -1)
-
-
-def test_decide_requires_unwound_session():
-    solver = BranchSolver(path_graph(3))
-    solver.select(0)
-    with pytest.raises(RuntimeError, match="empty selection"):
-        solver.decide(1)
-    solver.deselect()
-    assert solver.decide(1).decision is True
 
 
 def test_decide_accepts_strategy_strings():
@@ -388,34 +284,55 @@ _REFERENCE_BRANCHES = {
 }
 
 
+def _frontier_by_definition(g: Graph, selected: set[int]):
+    """Direct restatement of the path scan: the first unselected center
+    in id order with its two smallest unselected neighbors as (u, v, w),
+    else the number of uncovered edges, which are then disjoint."""
+    for v in range(g.vertex_count):
+        if v in selected:
+            continue
+        free = [w for w in g.neighbors(v) if w not in selected]
+        if len(free) >= 2:
+            return (free[0], v, free[1])
+    return sum(1 for u, v in g.edges() if u not in selected and v not in selected)
+
+
 def _reference_search(g, k, strategy):
     """Plain recursion over the whole branch tree, entering every child
-    even over budget; returns (decision, nodes_expanded, max_depth,
-    triplet_scans), with a scan at each node whose budget is >= 0."""
+    even over budget; returns (decision, certificate, nodes_expanded,
+    max_depth, triplet_scans), with a scan at each node whose budget is
+    >= 0.  The certificate of a true decision is the selection at the
+    first accepting leaf plus the smaller endpoint of each uncovered
+    edge left there; it is None on false."""
     selected = set()
     counts = [0, 0, 0]
+    certificate = None
 
     def scan():
         if strategy != "edge":
-            return find_frontier(g, selected)
+            return _frontier_by_definition(g, selected)
         for a in range(g.vertex_count):
             if a not in selected:
                 for b in g.neighbors(a):
                     if b not in selected:
                         return (a, b)
-        return NoUncoveredEdges()
+        return 0
 
     def expand(budget, depth):
+        nonlocal certificate
         counts[0] += 1
         counts[1] = max(counts[1], depth)
         if budget < 0:
             return False
         counts[2] += 1
         frontier = scan()
-        if isinstance(frontier, NoUncoveredEdges):
+        if isinstance(frontier, int):
+            if frontier > budget:
+                return False
+            certificate = frozenset(selected).union(
+                u for u, v in g.edges() if u not in selected and v not in selected
+            )
             return True
-        if isinstance(frontier, IsolatedEdgesOnly):
-            return frontier.count <= budget
         for branch in _REFERENCE_BRANCHES[strategy]:
             chosen = {frontier[i] for i in branch}
             selected.update(chosen)
@@ -425,7 +342,8 @@ def _reference_search(g, k, strategy):
                 return True
         return False
 
-    return (expand(k, 0), *counts)
+    found = expand(k, 0)
+    return (found, certificate, *counts)
 
 
 @st.composite
@@ -444,6 +362,7 @@ def test_node_counts_match_reference_recursion(g):
             r = decide_vc(g, k, strategy)
             observed = (
                 r.decision,
+                r.certificate,
                 r.stats.nodes_expanded,
                 r.stats.max_depth,
                 r.stats.triplet_scans,
