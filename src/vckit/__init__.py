@@ -34,7 +34,7 @@ from .solver import (
     SolveTimeout,
     Strategy,
     decide_vc,
-    greedy_maximal_matching,
+    lp_lower_bound,
     min_vertex_cover,
 )
 
@@ -62,7 +62,7 @@ __all__ = [
     "estimate_branching_factor",
     "gen_gnm",
     "gen_planted",
-    "greedy_maximal_matching",
+    "lp_lower_bound",
     "min_vertex_cover",
     "parse_config_file",
     "parse_dimacs",

@@ -68,8 +68,10 @@ class BenchConfig:
             raise ValueError("strategies must be non-empty")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError(
+                f"time_limit must be finite and > 0, got {self.time_limit}"
+            )
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,18 @@ def _print_stats_text(stats: SolveStats) -> None:
     print(f"time_ms: {stats.elapsed_ms:.3f}")
 
 
+def _time_limit(args) -> float | None:
+    """--time-limit, checked: None for no limit, else finite seconds > 0."""
+    seconds = args.time_limit
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ValueError(f"--time-limit must be finite and > 0, got {seconds}")
+    return seconds
+
+
 def _cmd_decide(args) -> int:
+    time_limit = _time_limit(args)
     g = _read_graph(args.graph)
-    result = decide_vc(g, args.k, args.strategy, time_limit=args.time_limit)
+    result = decide_vc(g, args.k, args.strategy, time_limit=time_limit)
     if args.json:
         payload = {
             "decision": result.decision,
@@ -101,10 +110,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    time_limit = _time_limit(args)
     g = _read_graph(args.graph)
-    size, cover, stats = min_vertex_cover(
-        g, args.strategy, time_limit=args.time_limit
-    )
+    size, cover, stats = min_vertex_cover(g, args.strategy, time_limit=time_limit)
     if args.json:
         payload = {
             "size": size,

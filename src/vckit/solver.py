@@ -39,9 +39,11 @@ endpoint each.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .graph import Graph
@@ -105,6 +107,16 @@ _BRANCHES = {
 }
 
 
+def _deadline(time_limit: float | None) -> float | None:
+    """The perf_counter() reading at which time_limit seconds from now
+    run out, or None for no limit."""
+    if time_limit is None:
+        return None
+    if math.isnan(time_limit):
+        raise ValueError("time_limit is NaN; pass None for no limit")
+    return time.perf_counter() + time_limit
+
+
 class BranchSolver:
     """A reusable decision session over a fixed graph and strategy.
 
@@ -151,18 +163,19 @@ class BranchSolver:
 
         A true decision carries a cover of at most k vertices as its
         certificate.  time_limit is in seconds; exceeding it raises
-        SolveTimeout.  The selection is empty on entry and on every way
-        out: a finished search has unwound each branch, and an abort
-        (timeout, KeyboardInterrupt) rebuilds the session, which stays
-        usable.  The search keeps its own stack, so any budget runs on
-        the caller's thread without touching the recursion limit.
+        SolveTimeout, and a NaN limit raises ValueError.  The selection
+        is empty on entry and on every way out: a finished search has
+        unwound each branch, and an abort (timeout, KeyboardInterrupt)
+        rebuilds the session, which stays usable.  The search keeps its
+        own stack, so any budget runs on the caller's thread without
+        touching the recursion limit.
         """
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
         self._scans = 0
         self._certificate = None
         self._ptr = 0
-        deadline = None if time_limit is None else time.perf_counter() + time_limit
+        deadline = _deadline(time_limit)
         start = time.perf_counter()
         try:
             found, nodes, max_depth = self._search(k, deadline)
@@ -352,20 +365,95 @@ def decide_vc(
     return BranchSolver(g, strategy).decide(k, time_limit=time_limit)
 
 
-def greedy_maximal_matching(g: Graph) -> list[tuple[int, int]]:
-    """A maximal matching, grown greedily over edges in ascending order.
+def lp_lower_bound(g: Graph) -> int:
+    """ceil(nu(B) / 2), a lower bound on tau(g) from the LP relaxation.
 
-    Its size is a lower bound on tau(g): the edges are vertex-disjoint,
-    so each needs its own cover vertex.
+    B is the bipartite double cover of g: left vertex u is joined to
+    right vertex v for every arc (u, v).  Half a maximum matching of B
+    is the optimum of the vertex-cover LP (Nemhauser & Trotter 1975),
+    which is never above tau(g) and never below the size of a matching
+    of g, whose every edge gives B two disjoint arcs.
+
+    The matching of B starts from a greedy matching of g taken in both
+    directions, over the vertices in ascending degree order (ties by
+    id).  That seed leaves no free right neighbor to a free left
+    vertex, so Hopcroft-Karp phases (Hopcroft & Karp 1973) grow it to
+    maximum from the left vertices it left free.  A phase layers the
+    alternating paths by BFS, then augments along vertex-disjoint
+    shortest paths by DFS on an explicit stack, and resets only the
+    entries it touched.
     """
-    matched = bytearray(g.vertex_count)
-    matching: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        if not matched[u] and not matched[v]:
-            matched[u] = 1
-            matched[v] = 1
-            matching.append((u, v))
-    return matching
+    adj = g.sorted_adjacency
+    n = len(adj)
+    degree = list(map(len, adj))
+    mate_l = [-1] * n  # right partner of each left vertex
+    mate_r = [-1] * n  # left partner of each right vertex
+    size = 0
+    free: list[int] = []
+    for u in sorted(compress(range(n), degree), key=degree.__getitem__):
+        if mate_l[u] < 0:
+            for v in adj[u]:
+                if mate_l[v] < 0:
+                    mate_l[u] = mate_r[u] = v
+                    mate_l[v] = mate_r[v] = u
+                    size += 2
+                    break
+            else:
+                # Every neighbor is taken, so u stays free in g.
+                free.append(u)
+    dist = [-1] * n  # BFS layer of a left vertex; -1 unreached, -2 dead end
+    ptr = [0] * n  # where the DFS resumes in a left vertex's neighbors
+    while free:
+        queue = list(free)
+        for u in free:
+            dist[u] = 0
+        # The layer whose vertices reach a free right vertex: the last
+        # layer of every shortest augmenting path.
+        top = n
+        for u in queue:
+            d = dist[u]
+            if d > top:
+                break
+            for v in adj[u]:
+                w = mate_r[v]
+                if w < 0:
+                    top = d
+                elif dist[w] < 0:
+                    dist[w] = d + 1
+                    queue.append(w)
+        if top == n:
+            break
+        for root in free:
+            path = [root]
+            while path:
+                u = path[-1]
+                nbrs = adj[u]
+                depth = dist[u] + 1
+                for i in range(ptr[u], len(nbrs)):
+                    w = mate_r[nbrs[i]]
+                    if w < 0 or (dist[w] == depth and depth <= top):
+                        ptr[u] = i + 1
+                        break
+                else:
+                    dist[u] = -2
+                    path.pop()
+                    continue
+                if w >= 0:
+                    path.append(w)
+                    continue
+                # nbrs[i] is free: flip the path's arcs in and out of
+                # the matching, from its free end back to the root.
+                v = nbrs[i]
+                for x in reversed(path):
+                    mate_r[v] = x
+                    mate_l[x], v = v, mate_l[x]
+                size += 1
+                break
+        for u in queue:
+            dist[u] = -1
+            ptr[u] = 0
+        free = [u for u in free if mate_l[u] < 0]
+    return (size + 1) // 2
 
 
 class MinCoverResult(NamedTuple):
@@ -381,15 +469,17 @@ def min_vertex_cover(
 ) -> MinCoverResult:
     """Exact minimum vertex cover via upward decision probes.
 
-    Starts at the greedy matching lower bound and asks decide_vc for
-    each k until the first success, which is exactly tau(g); the
-    returned cover is re-verified edge by edge.  Stats are merged
-    across probes.  time_limit (seconds) spans the whole computation.
+    Starts at the LP lower bound (lp_lower_bound) and asks a
+    BranchSolver for each k until the first success, which is exactly
+    tau(g); the returned cover is re-verified edge by edge.  Stats are
+    merged across probes.  On a planted graph the bound is already
+    tau, so the first probe is the last.  time_limit (seconds) spans
+    the whole computation, bound included; NaN raises ValueError.
     """
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    deadline = _deadline(time_limit)
     solver = BranchSolver(g, strategy)
     total = SolveStats()
-    k = len(greedy_maximal_matching(g))
+    k = lp_lower_bound(g)
     while True:
         remaining = None
         if deadline is not None:

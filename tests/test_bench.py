@@ -93,8 +93,10 @@ def test_config_validation():
         BenchConfig(k_values=[0]).validate()
     with pytest.raises(ValueError, match="non-empty"):
         BenchConfig(n_values=[]).validate()
-    with pytest.raises(ValueError, match="time_limit"):
-        BenchConfig(time_limit=0.0).validate()
+    for seconds in (0.0, -1.0, float("inf"), float("nan")):
+        message = f"time_limit must be finite and > 0, got {seconds}"
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(time_limit=seconds).validate()
     with pytest.raises(ValueError, match="seeds"):
         BenchConfig(seeds=[-3]).validate()
     with pytest.raises(ValueError, match="n/2"):

@@ -134,6 +134,25 @@ def test_solve_edgeless(tmp_path, capsys):
     assert "size: 0" in out
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command", [["decide", "--k", "1"], ["solve"]], ids=["decide", "solve"]
+)
+def test_decide_and_solve_reject_bad_time_limit(p3_file, command, seconds, capsys):
+    argv = [command[0], p3_file, *command[1:], f"--time-limit={seconds}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --time-limit must be finite and > 0, got {float(seconds)}\n"
+    )
+
+
+def test_solve_accepts_a_finite_time_limit(p3_file, capsys):
+    assert main(["solve", p3_file, "--time-limit", "30"]) == 0
+    assert "size: 1" in capsys.readouterr().out
+
+
 def test_gen_writes_parseable_instance(tmp_path, capsys):
     out_path = tmp_path / "inst.col"
     rc = main([
@@ -277,6 +296,17 @@ def test_bench_rejects_non_finite_ratio(ratio, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"error: extra_edge_ratio must be finite and >= 0, got {float(ratio)}\n"
+    )
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_bench_rejects_bad_time_limit(seconds, capsys):
+    rc = main(["bench", "--n", "40", "--k", "2", f"--time-limit={seconds}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: time_limit must be finite and > 0, got {float(seconds)}\n"
     )
 
 

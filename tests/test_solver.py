@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 
+import networkx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from vckit import (
     decide_vc,
     gen_gnm,
     gen_planted,
-    greedy_maximal_matching,
+    lp_lower_bound,
     min_vertex_cover,
     verify_cover,
 )
@@ -132,6 +133,16 @@ def test_decide_isolated_edges_below_the_last_center(strategy):
 def test_decide_rejects_negative_budget():
     with pytest.raises(ValueError, match="k must be >= 0"):
         decide_vc(path_graph(3), -1)
+
+
+def test_nan_time_limit_is_rejected():
+    # NaN compares false against every deadline, so it would mean no limit
+    solver = BranchSolver(path_graph(3))
+    with pytest.raises(ValueError, match="NaN"):
+        solver.decide(1, time_limit=float("nan"))
+    assert solver.decide(1).decision is True
+    with pytest.raises(ValueError, match="NaN"):
+        min_vertex_cover(path_graph(3), time_limit=float("nan"))
 
 
 def test_decide_accepts_strategy_strings():
@@ -348,6 +359,7 @@ def _reference_search(g, k, strategy):
 
 @st.composite
 def _small_graphs(draw):
+    """Up to 12 vertices; any set of pairs, so mostly dense graphs."""
     n = draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -554,37 +566,106 @@ def test_deep_search_budget_10000():
     assert not any(t.name == "vc-deep-search" for t in threading.enumerate())
 
 
-# -- greedy matching --------------------------------------------------
+# -- the LP lower bound -----------------------------------------------
 
 
-def test_greedy_matching_examples():
-    assert greedy_maximal_matching(path_graph(3)) == [(0, 1)]
-    assert greedy_maximal_matching(matching_graph(2)) == [(0, 1), (2, 3)]
-    assert greedy_maximal_matching(Graph(4)) == []
-    # K4: after (0,1) only (2,3) remains available
-    assert greedy_maximal_matching(complete_graph(4)) == [(0, 1), (2, 3)]
+def test_lp_bound_examples():
+    assert lp_lower_bound(Graph(4)) == 0
+    assert lp_lower_bound(path_graph(3)) == 1
+    assert lp_lower_bound(matching_graph(2)) == 2
+    assert lp_lower_bound(star_graph(4)) == 1
+    # all-halves is optimal on K4 (LP 2) and on C5 (LP 2.5)
+    assert lp_lower_bound(complete_graph(4)) == 2
+    assert lp_lower_bound(cycle_graph(5)) == 3
+    assert lp_lower_bound(petersen_graph()) == 5
 
 
-def test_greedy_matching_is_maximal_and_bounds_tau():
-    rng = random.Random(2718)
-    for trial in range(30):
-        n = rng.randrange(1, 13)
-        m = rng.randrange(0, n * (n - 1) // 2 + 1)
-        g = gen_gnm(n, m, seed=rng.randrange(2**32))
-        matching = greedy_maximal_matching(g)
-        used = [v for e in matching for v in e]
-        assert len(used) == len(set(used)), "matching edges share a vertex"
-        for u, v in matching:
-            assert g.has_edge(u, v)
-        # maximality: every edge touches a matched vertex
-        matched = set(used)
-        for u, v in g.edges():
-            assert u in matched or v in matched
-        tau = brute_force_tau(g)
-        if matching:
-            assert len(matching) <= tau <= 2 * len(matching)
-        else:
-            assert tau == 0
+def test_lp_bound_on_a_long_odd_cycle():
+    # The seed leaves one vertex of C_5001 free, and the one augmenting
+    # path of the double cover left to find runs the whole way round it.
+    assert lp_lower_bound(cycle_graph(5001)) == 2501
+
+
+def _half_integral_lp(g: Graph) -> int:
+    """Twice the LP optimum, by trying every assignment in {0, 1/2, 1}^n
+    that covers each edge.
+
+    An assignment is a zero set Z and a half set H, bitmasks, with the
+    rest at one.  It covers every edge iff no neighbor of Z lies in
+    Z or H, so for each Z the feasible H are the subsets of the
+    vertices outside Z and its neighborhood.
+    """
+    n = g.vertex_count
+    everyone = (1 << n) - 1
+    reach = [0] * (1 << n)  # reach[Z]: the neighbors of Z, as a bitmask
+    for z in range(1, 1 << n):
+        low = (z & -z).bit_length() - 1
+        reach[z] = reach[z & (z - 1)]
+        for w in g.neighbors(low):
+            reach[z] |= 1 << w
+    best = 2 * n
+    for z in range(1 << n):
+        if reach[z] & z:
+            continue
+        free = everyone & ~z & ~reach[z]
+        h = free
+        while True:
+            best = min(best, 2 * (n - z.bit_count()) - h.bit_count())
+            if h == 0:
+                break
+            h = (h - 1) & free
+    return best
+
+
+def test_lp_bound_is_the_half_integral_lp_on_the_atlas():
+    graphs = [g for g in networkx.graph_atlas_g() if g.number_of_nodes() <= 7]
+    assert len(graphs) == 1253
+    for nx_graph in graphs:
+        g = Graph(nx_graph.number_of_nodes(), list(nx_graph.edges()))
+        doubled = _half_integral_lp(g)
+        assert lp_lower_bound(g) == (doubled + 1) // 2, nx_graph.name
+
+
+def _double_cover_matching_size(g: Graph) -> int:
+    cover = networkx.Graph()
+    left = [("L", u) for u in g.vertices()]
+    cover.add_nodes_from(left)
+    cover.add_nodes_from(("R", v) for v in g.vertices())
+    cover.add_edges_from(
+        (("L", u), ("R", v)) for u in g.vertices() for v in g.neighbors(u)
+    )
+    matching = networkx.bipartite.hopcroft_karp_matching(cover, top_nodes=left)
+    return len(matching) // 2  # the dict holds each matched pair twice
+
+
+@st.composite
+def _sparse_graphs(draw, max_vertices):
+    """Up to max_vertices vertices and at most 3n edges."""
+    n = draw(st.integers(1, max_vertices))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_graphs(30))
+def test_lp_bound_matches_networkx_on_the_double_cover(g):
+    assert lp_lower_bound(g) == (_double_cover_matching_size(g) + 1) // 2
+
+
+def _maximal_matching_size(g: Graph) -> int:
+    matched = set()
+    for u, v in g.edges():
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+    return len(matched) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_small_graphs(), _sparse_graphs(12)))
+def test_lp_bound_lies_between_a_maximal_matching_and_tau(g):
+    bound = lp_lower_bound(g)
+    assert _maximal_matching_size(g) <= bound <= brute_force_tau(g)
 
 
 # -- min_vertex_cover -------------------------------------------------
@@ -615,14 +696,35 @@ def test_min_cover_matches_oracle(strategy):
 
 
 def test_min_cover_merges_stats_across_probes():
-    # C5 probes k=2 (greedy matching bound) then k=3; both trees count
-    g = cycle_graph(5)
+    # K4 probes k=2 (its LP bound) then k=3; both trees count
+    g = complete_graph(4)
+    assert lp_lower_bound(g) == 2
     total = min_vertex_cover(g).stats
     first = decide_vc(g, 2).stats
     second = decide_vc(g, 3).stats
     assert total.nodes_expanded == first.nodes_expanded + second.nodes_expanded
     assert total.max_depth == max(first.max_depth, second.max_depth)
     assert total.triplet_scans == first.triplet_scans + second.triplet_scans
+
+
+def _probe_graphs():
+    yield "C5", cycle_graph(5), 3
+    rng = random.Random(5)
+    for n, k in ((1000, 6), (1000, 6), (200, 8), (200, 8)):
+        inst = gen_planted(n, k, round(0.5 * n), rng.randrange(2**32))
+        yield f"planted n={n} k={k}", inst.graph, k
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_min_cover_is_one_probe_at_tau(strategy):
+    # The LP bound is already tau here, so solving costs exactly the
+    # search that decides at tau and no failing probe below it.
+    for name, g, tau in _probe_graphs():
+        total = min_vertex_cover(g, strategy).stats
+        single = decide_vc(g, tau, strategy).stats
+        observed = (total.nodes_expanded, total.max_depth, total.triplet_scans)
+        expected = (single.nodes_expanded, single.max_depth, single.triplet_scans)
+        assert observed == expected, name
 
 
 def test_min_cover_respects_time_limit():
