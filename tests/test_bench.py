@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from vckit import (
     CSV_HEADER,
     BenchConfig,
     BenchRecord,
+    BranchSolver,
     Strategy,
     decide_vc,
     estimate_branching_factor,
@@ -64,6 +66,31 @@ def test_benchmark_decisions_verify_on_regenerated_instances():
 def test_run_benchmark_deterministic_modulo_time():
     config = BenchConfig(**TINY)
     assert _strip_times(run_benchmark(config)) == _strip_times(run_benchmark(config))
+
+
+def test_run_benchmark_builds_one_solver_per_cell(monkeypatch):
+    # a session serves any number of budgets, so repetitions reuse it
+    built = []
+    decided = []
+    init = BranchSolver.__init__
+    decide = BranchSolver.decide
+
+    def counting_init(self, g, strategy=Strategy.PAPER_FIVE):
+        built.append(Strategy(strategy))
+        init(self, g, strategy)
+
+    def counting_decide(self, k, time_limit=None):
+        decided.append(self.strategy)
+        return decide(self, k, time_limit)
+
+    monkeypatch.setattr(BranchSolver, "__init__", counting_init)
+    monkeypatch.setattr(BranchSolver, "decide", counting_decide)
+    config = BenchConfig(**{**TINY, "repetitions": 3})
+    records = run_benchmark(config)
+    cells = len(TINY["seeds"])
+    assert len(records) == cells * len(config.strategies)
+    assert Counter(built) == Counter(list(config.strategies) * cells)
+    assert Counter(decided) == Counter(list(config.strategies) * cells * 3)
 
 
 def test_run_benchmark_records_generation_failures():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -11,8 +12,15 @@ from pathlib import Path
 import pytest
 
 import vckit
-from vckit import CSV_HEADER, parse_dimacs, verify_cover, write_dimacs
-from vckit import cli
+from vckit import (
+    CSV_HEADER,
+    DimacsFormatWarning,
+    gen_planted,
+    parse_dimacs,
+    verify_cover,
+    write_dimacs,
+)
+from vckit import cli, dimacs
 from vckit.cli import main
 from vckit.dimacs import MAX_VERTICES
 
@@ -311,10 +319,37 @@ def test_bench_rejects_bad_time_limit(seconds, capsys):
 
 
 def test_graph_from_stdin(monkeypatch, capsys):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(write_dimacs(path_graph(3))))
     assert main(["decide", "-", "--k", "1"]) == 0
     assert "decision: true" in capsys.readouterr().out
+
+
+def test_decide_same_from_stdin_and_path(tmp_path, monkeypatch, capsys):
+    # a file of several parse blocks, whose repeated e lines make the
+    # declared count disagree with the distinct one
+    g = gen_planted(4000, 8, 16000, 3).graph
+    edge_lines = write_dimacs(g).splitlines()[1:]
+    edge_lines += [f"e {v} {u}" for _, u, v in map(str.split, edge_lines[:50])]
+    text = "p edge 4000 {}\n{}\n".format(len(edge_lines), "\n".join(edge_lines))
+    assert len(text) > 2 * dimacs._BLOCK_CHARS
+    path = tmp_path / "g.col"
+    path.write_text(text)
+    seen = []
+    for graph, stdin in ((str(path), ""), ("-", text)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        with pytest.warns(DimacsFormatWarning) as record:
+            assert main(["decide", graph, "--k", "8", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        del payload["stats"]["elapsed_ms"]
+        seen.append((payload, [(w.category, str(w.message)) for w in record]))
+    assert seen[0] == seen[1]
+    payload, warned = seen[0]
+    assert payload["decision"] is True
+    assert warned == [
+        (DimacsFormatWarning,
+         f"problem line declares {len(edge_lines)} edges, "
+         f"found {g.edge_count} distinct")
+    ]
 
 
 # -- one parser per process -------------------------------------------

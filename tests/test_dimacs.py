@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -11,11 +13,13 @@ from vckit import (
     DimacsFormatWarning,
     Graph,
     gen_gnm,
+    gen_planted,
     parse_dimacs,
     read_dimacs_file,
     write_dimacs,
     write_dimacs_file,
 )
+from vckit import dimacs
 from vckit.dimacs import MAX_VERTICES
 
 
@@ -154,35 +158,88 @@ def test_round_trip_random_graphs():
         assert parse_dimacs(write_dimacs(g)) == g
 
 
-def test_parse_any_line_order_equals_graph_of_distinct_edges():
+def test_parse_any_line_order_equals_graph_of_distinct_edges(monkeypatch):
     # Graph, not the parser, dedups and orders: shuffled, reversed and
     # repeated e lines give the same Graph and the distinct count, with
     # any whitespace around and inside the e lines, c and blank lines
-    # between them, and \n or \r\n line endings.
-    rng = random.Random(4242)
+    # between them, and \n or \r\n line endings; at the real block size
+    # and at one small enough to split every text into many blocks.
     pads = ("", " ", "\t", " \t ")
     seps = (" ", "\t", "  ", " \t")
     fillers = ("c between edges", "  c\tindented", "c", "", "   ", "\t")
-    for trial in range(30):
-        n = rng.randrange(2, 30)
-        m = rng.randrange(1, n * (n - 1) // 2 + 1)
-        distinct = list(gen_gnm(n, m, seed=rng.randrange(2**32)).edges())
-        lines = distinct + [(v, u) for u, v in distinct]
-        lines += rng.sample(distinct, rng.randrange(1, m + 1))
-        rng.shuffle(lines)
-        layout = [f"p edge {n} {len(lines)}"]
-        for u, v in lines:
-            if rng.random() < 0.2:
-                layout.append(rng.choice(fillers))
-            sep = rng.choice(seps)
-            layout.append(
-                f"{rng.choice(pads)}e{sep}{u + 1}{sep}{v + 1}{rng.choice(pads)}"
-            )
-        eol = rng.choice(("\n", "\r\n"))
-        text = eol.join(layout) + eol
-        with pytest.warns(
-            DimacsFormatWarning, match=f"declares {len(lines)} edges, found {m} distinct"
-        ):
-            g = parse_dimacs(text)
-        assert g == Graph(n, distinct)
-        assert g.edge_count == m
+    for block in (dimacs._BLOCK_CHARS, 7):
+        monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+        rng = random.Random(4242)
+        for trial in range(30):
+            n = rng.randrange(2, 30)
+            m = rng.randrange(1, n * (n - 1) // 2 + 1)
+            distinct = list(gen_gnm(n, m, seed=rng.randrange(2**32)).edges())
+            lines = distinct + [(v, u) for u, v in distinct]
+            lines += rng.sample(distinct, rng.randrange(1, m + 1))
+            rng.shuffle(lines)
+            layout = [f"p edge {n} {len(lines)}"]
+            for u, v in lines:
+                if rng.random() < 0.2:
+                    layout.append(rng.choice(fillers))
+                sep = rng.choice(seps)
+                layout.append(
+                    f"{rng.choice(pads)}e{sep}{u + 1}{sep}{v + 1}{rng.choice(pads)}"
+                )
+            eol = rng.choice(("\n", "\r\n"))
+            text = eol.join(layout) + eol
+            with pytest.warns(
+                DimacsFormatWarning,
+                match=f"declares {len(lines)} edges, found {m} distinct",
+            ):
+                g = parse_dimacs(text)
+            assert g == Graph(n, distinct)
+            assert g.edge_count == m
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_block_lines_equal_splitlines(monkeypatch, block):
+    # a block ends just after a \n, so no line, not even \r\n, is cut
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+    rng = random.Random(block)
+    pieces = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+              "\n\n", "e 1 2", "c x", "p", "  ")
+    texts = ["", "\n", "\r\n\r\n", "\r only\rendings\r", "unterminated", "a\nb"]
+    for _ in range(300):
+        texts.append("".join(rng.choice(pieces) for _ in range(rng.randrange(40))))
+    for text in texts:
+        assert list(dimacs._lines(text)) == text.splitlines(), repr(text)
+
+
+def test_error_line_number_in_a_later_block(monkeypatch):
+    # at 7 characters a block: lines 1-2, then 3-4, then 5-6
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", 7)
+    text = "c a\rc b\nc c\r\np edge 3 1\ne 1 2\re 2 2\ne 1 3\n"
+    assert _error(text) == ("line 6: self-loop edge (2, 2)", 6)
+
+
+def _graph_bytes(g: Graph) -> int:
+    """The sizes of the objects a Graph holds: its tuples and their ints.
+
+    Counted from the objects, not as tracemalloc's current size after a
+    parse, which misses every tuple CPython hands out from its free
+    lists without a fresh allocation.
+    """
+    adj = g.sorted_adjacency
+    held = {id(a): a for a in adj}
+    held.update((id(v), v) for a in adj for v in a)
+    return sys.getsizeof(adj) + sum(map(sys.getsizeof, held.values()))
+
+
+def test_parse_peak_within_twice_the_graph():
+    # edge lines go straight into neighbor lists, one block of lines at
+    # a time: no list of all lines or of all edges is ever alive
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    text = write_dimacs(gen_planted(8000, 20, 20000, 7).graph)
+    tracemalloc.start()
+    try:
+        g = parse_dimacs(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _graph_bytes(g), (peak, _graph_bytes(g))
