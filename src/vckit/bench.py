@@ -33,13 +33,14 @@ class BenchConfig:
     of 1 keeps the stock sweep quick, and the other counters are
     identical across repetitions anyway.  time_limit (seconds) applies
     per solve, and an exceeded limit becomes a timed-out record rather
-    than an error.
+    than an error.  strategies may name a Strategy by its value, as
+    BranchSolver accepts; validate() rejects an unknown name.
     """
 
     n_values: list[int] = field(default_factory=lambda: [1000, 2000, 5000, 10000])
     k_values: list[int] = field(default_factory=lambda: [6, 8, 10, 12])
     extra_edge_ratio: float = 0.5
-    strategies: tuple[Strategy, ...] = _STRATEGY_ORDER
+    strategies: tuple[Strategy | str, ...] = _STRATEGY_ORDER
     seeds: list[int] = field(default_factory=lambda: [1])
     repetitions: int = 1
     time_limit: Optional[float] = 60.0
@@ -66,6 +67,12 @@ class BenchConfig:
             )
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
+        known = {s.value for s in Strategy}
+        for name in self.strategies:
+            if name not in known:
+                raise ValueError(
+                    f"unknown strategy {name!r}, expected one of {sorted(known)}"
+                )
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
@@ -99,11 +106,14 @@ class BenchRecord:
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     """Execute the sweep; one record per (n, k, strategy, seed) cell.
 
-    Cells sharing (n, k, seed) solve the same generated instance.
-    Generation failures and per-solve timeouts are recorded, not
-    raised, so a sweep always completes.
+    Cells sharing (n, k, seed) solve the same generated instance, and
+    every record carries a Strategy member, whether config.strategies
+    named it by member or by string.  Generation failures and
+    per-solve timeouts are recorded, not raised, so a sweep always
+    completes.
     """
     config.validate()
+    strategies = tuple(map(Strategy, config.strategies))
     records: list[BenchRecord] = []
     for n in config.n_values:
         extra_edges = round(config.extra_edge_ratio * n)
@@ -112,7 +122,7 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
                 try:
                     instance = gen_planted(n, k, extra_edges, seed)
                 except GraphError as exc:
-                    for strategy in config.strategies:
+                    for strategy in strategies:
                         records.append(
                             BenchRecord(
                                 n=n, k_input=k, tau=None, strategy=strategy,
@@ -122,7 +132,7 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
                             )
                         )
                     continue
-                for strategy in config.strategies:
+                for strategy in strategies:
                     records.append(_solve_cell(instance, strategy, config))
     return records
 

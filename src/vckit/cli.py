@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .bench import (
     BenchConfig,
@@ -64,15 +65,6 @@ def _read_cover(path: str) -> list[int]:
     return ids
 
 
-def _stats_dict(stats: SolveStats) -> dict:
-    return {
-        "nodes_expanded": stats.nodes_expanded,
-        "max_depth": stats.max_depth,
-        "triplet_scans": stats.triplet_scans,
-        "elapsed_ms": stats.elapsed_ms,
-    }
-
-
 def _print_stats_text(stats: SolveStats) -> None:
     print(f"nodes_expanded: {stats.nodes_expanded}")
     print(f"max_depth: {stats.max_depth}")
@@ -98,7 +90,7 @@ def _cmd_decide(args) -> int:
             "certificate": (
                 None if result.certificate is None else sorted(result.certificate)
             ),
-            "stats": _stats_dict(result.stats),
+            "stats": asdict(result.stats),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -117,7 +109,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "size": size,
             "cover": sorted(cover),
-            "stats": _stats_dict(stats),
+            "stats": asdict(stats),
         }
         print(json.dumps(payload, indent=2))
     else:

@@ -1,30 +1,32 @@
 """Bounded-search-tree decision procedure for vertex cover.
 
-The solver answers tau(G) <= k by branching on a frontier: a path
-u-v-w (two edges {u,v}, {v,w} among vertices not yet selected) or, for
-the edge strategy, one uncovered edge.  It tries a fixed list of ways
-to cover the frontier and searches each with the budget reduced by the
-number of vertices added.  Search stops at the first success; every
-branch restores the selected set on the way out.  One loop over an
-explicit stack walks the tree for every strategy and budget, with
-O(n + k) extra state and no recursion.  Selecting and deselecting a
-vertex is O(1); a node pays for its frontier scan, which reads the
-neighbors of each candidate it visits only until it has found the
-unselected ones it needs, and a node with no frontier left pays one
+The solver answers tau(G) <= k by branching on a frontier: a center v
+followed by its first `need` unselected neighbors in ascending order,
+(v, n1, ..., n_need).  paper5 and p3 need two, so their frontier is a
+path u-v-w of two uncovered edges, stored as (v, u, w); edge needs one,
+so its frontier is one uncovered edge (a, b).  The solver tries a fixed
+list of ways to cover the frontier and searches each with the budget
+reduced by the number of vertices added.  Search stops at the first
+success; every branch restores the selected set on the way out.  One
+loop over an explicit stack walks the tree for every strategy and
+budget, with O(n + k) extra state and no recursion.  Selecting and
+deselecting a vertex is O(1); a node pays for its frontier scan, which
+reads the neighbors of each candidate it visits only until it has found
+the unselected ones it needs, and a node with no frontier left pays one
 O(n + m) pass to count the uncovered edges.
 
-The frontier is deterministic: the first center in ascending id order
-with its two smallest unselected neighbors, or for edge the
-lexicographically smallest uncovered edge.  It is internal to the
-search; the public entry points are BranchSolver.decide and the
-decide_vc and min_vertex_cover wrappers, which report a decision, a
-certificate and search counters.
+The frontier is deterministic: its center is the first vertex in
+ascending id order with at least `need` unselected neighbors, so for
+edge it is the lexicographically smallest uncovered edge.  It is
+internal to the search; the public entry points are BranchSolver.decide
+and the decide_vc and min_vertex_cover wrappers, which report a
+decision, a certificate and search counters.
 
 Three interchangeable strategies answer the same predicate and differ
-only in their list of branches, and so in search-tree shape:
+only in their rule, and so in search-tree shape:
 
-* paper5 - five branches per path: {u,v}, {u,w}, {v,w}, {v}, {u,v,w},
-  in that order.  The default.
+* paper5 - five branches per path u-v-w: {u,v}, {u,w}, {v,w}, {v},
+  {u,v,w}, in that order.  The default.
 * p3 - the classic two-way path rule: {v}, else {u,w}.
 * edge - two-way branching on one uncovered edge {a,b}: {a}, else {b}.
 
@@ -97,13 +99,16 @@ class SolveResult:
 # over-budget children advance the count without entering a node.
 _TIME_CHECK_INTERVAL = 256
 
-# The ways each strategy covers a frontier, tried in order: each branch
-# lists the positions in the frontier of the vertices it selects.  The
-# frontier is a path (u, v, w) for paper5 and p3, an edge (a, b) for edge.
-_BRANCHES = {
-    Strategy.PAPER_FIVE: ((0, 1), (0, 2), (1, 2), (1,), (0, 1, 2)),
-    Strategy.CLASSIC_P3: ((1,), (0, 2)),
-    Strategy.EDGE_BRANCH: ((0,), (1,)),
+# Each strategy's rule as (need, branches).  Its frontier is a center v
+# followed by v's first `need` unselected neighbors in ascending order,
+# so a path u-v-w is (v, u, w) and an edge {a, b} is (a, b).  The
+# branches are tried in order; each lists the positions in the frontier
+# of the vertices it selects.  A vertex can be a center only if its
+# degree is at least need.
+_RULES = {
+    Strategy.PAPER_FIVE: (2, ((0, 1), (1, 2), (0, 2), (0,), (0, 1, 2))),
+    Strategy.CLASSIC_P3: (2, ((0,), (1, 2))),
+    Strategy.EDGE_BRANCH: (1, ((0,), (1,))),
 }
 
 
@@ -120,31 +125,27 @@ def _deadline(time_limit: float | None) -> float | None:
 class BranchSolver:
     """A reusable decision session over a fixed graph and strategy.
 
-    decide() is its one operation.  The selection it searches over is
-    private: per-vertex flags plus a trail in selection order.  Beside
-    it sits one byte per vertex marking the unselected scan candidates,
-    the vertices that can head a frontier at all (degree two or more
-    for paper5 and p3, one or more for edge).  Selecting or deselecting
-    a vertex touches only those three structures, so it is O(1)
-    whatever the vertex's degree.  A scan jumps from candidate to
-    candidate and checks a candidate's neighbors only until it has
-    found the unselected ones it needs, and a monotone scan pointer
-    (saved and restored around every branch) keeps it from revisiting
-    candidates already ruled out.  Every way out of decide() leaves
-    the selection empty, so one session serves any number of budgets.
+    decide() is its one operation.  The session is the selection the
+    search works on: per-vertex flags, a trail in selection order, and
+    one byte per vertex marking the unselected scan candidates, the
+    vertices whose degree lets them be a center at all.  Selecting or
+    deselecting a vertex touches only those three structures, so it is
+    O(1) whatever the vertex's degree.  Every way out of decide() leaves
+    the selection empty, so one session serves any number of budgets;
+    the scan pointer, the counters and the certificate belong to one
+    search and live in it.
     """
 
     def __init__(self, graph: Graph, strategy: Strategy | str = Strategy.PAPER_FIVE):
         self.graph = graph
         self.strategy = Strategy(strategy)
+        need, self._branches = _RULES[self.strategy]
+        self._need = need
         self._adj = graph.sorted_adjacency
-        min_degree = 1 if self.strategy is Strategy.EDGE_BRANCH else 2
-        self._candidates = bytes(len(a) >= min_degree for a in self._adj)
+        self._candidates = bytes(len(a) >= need for a in self._adj)
         self._flags = bytearray(graph.vertex_count)
         self._trail: list[int] = []
         self._reset()
-        self._scans = 0
-        self._certificate: frozenset[int] | None = None
 
     def _reset(self) -> None:
         """Empty the selection and mark every candidate live again.
@@ -156,7 +157,6 @@ class BranchSolver:
         self._flags[:] = bytes(len(self._flags))
         self._trail.clear()
         self._live = bytearray(self._candidates)
-        self._ptr = 0
 
     def decide(self, k: int, time_limit: float | None = None) -> SolveResult:
         """Decide tau(graph) <= k.
@@ -172,13 +172,10 @@ class BranchSolver:
         """
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
-        self._scans = 0
-        self._certificate = None
-        self._ptr = 0
         deadline = _deadline(time_limit)
         start = time.perf_counter()
         try:
-            found, nodes, max_depth = self._search(k, deadline)
+            certificate, nodes, max_depth, scans = self._search(k, deadline)
         except BaseException:
             # An abort (timeout, interrupt) leaves the search mid-branch,
             # possibly mid-update; rebuild the session from the graph.
@@ -189,67 +186,14 @@ class BranchSolver:
         stats = SolveStats(
             nodes_expanded=nodes,
             max_depth=max_depth,
-            triplet_scans=self._scans,
+            triplet_scans=scans,
             elapsed_ms=elapsed_ms,
         )
         return SolveResult(
-            decision=found,
-            certificate=self._certificate if found else None,
+            decision=certificate is not None,
+            certificate=certificate,
             stats=stats,
         )
-
-    # -- frontier scans ------------------------------------------------
-    #
-    # A scan finds the next live candidate with bytearray.find, which
-    # runs in C, and reads its neighbors' flags only until it has the
-    # unselected ones it needs: at most min(degree, selected + 2) checks
-    # per candidate visited.
-    #
-    # The pointer invariant: every unselected vertex below _ptr fails
-    # the scan predicate (fewer than two unselected neighbors for the
-    # triplet scan, none for the edge scan).  Selecting vertices only
-    # removes unselected neighbors, so the invariant survives deeper in
-    # the search; each branch frame restores the pointer it entered
-    # with.  A scan that finds nothing leaves the pointer alone.
-
-    def _next_triplet(self):
-        """The next path (u, v, w) to branch on, or None.
-
-        v is the first unselected vertex in ascending id order with at
-        least two unselected neighbors, and u < w are the two smallest
-        of them.  None means every uncovered edge is disjoint from the
-        rest.
-        """
-        self._scans += 1
-        flags = self._flags
-        adj = self._adj
-        find = self._live.find
-        p = find(1, self._ptr)
-        while p >= 0:
-            first = -1
-            for w in adj[p]:
-                if not flags[w]:
-                    if first >= 0:
-                        self._ptr = p
-                        return (first, p, w)
-                    first = w
-            p = find(1, p + 1)
-        return None
-
-    def _next_uncovered_edge(self):
-        """Lowest-endpoint uncovered edge as (a, b), or None."""
-        self._scans += 1
-        flags = self._flags
-        adj = self._adj
-        find = self._live.find
-        p = find(1, self._ptr)
-        while p >= 0:
-            for w in adj[p]:
-                if not flags[w]:
-                    self._ptr = p
-                    return (p, w)
-            p = find(1, p + 1)
-        return None
 
     def _isolated_ends(self) -> list[int]:
         """The smaller endpoint of each uncovered edge, in one O(n + m)
@@ -270,11 +214,11 @@ class BranchSolver:
                         break
         return ends
 
-    # -- the search ------------------------------------------------------
-
-    def _search(self, k: int, deadline: float | None) -> tuple[bool, int, int]:
+    def _search(
+        self, k: int, deadline: float | None
+    ) -> tuple[Optional[frozenset[int]], int, int, int]:
         """Depth-first search of the branch tree for budget k; returns
-        (found, nodes_expanded, max_depth).
+        (certificate or None, nodes_expanded, max_depth, scans).
 
         Each frame of the explicit stack is [frontier, branch_index,
         budget, entry_ptr] for one expanded node; the trail holds the
@@ -285,41 +229,64 @@ class BranchSolver:
         whole tree the branching rule visits.  A node with no frontier
         left decides itself: its remaining uncovered edges are disjoint,
         and it succeeds iff the budget covers one endpoint of each.
+
+        Every entered node scans once.  The scan finds the next live
+        candidate with bytearray.find, which runs in C, and reads its
+        neighbors' flags only until it has the `need` unselected ones
+        the frontier takes.  The pointer invariant: every unselected
+        vertex below ptr fails the scan (it has fewer than `need`
+        unselected neighbors).  Selecting vertices only removes
+        unselected neighbors, so the invariant survives deeper in the
+        search; each frame restores the pointer it entered with, and a
+        scan that finds nothing leaves the pointer alone.
         """
-        branches = _BRANCHES[self.strategy]
+        need = self._need
+        branches = self._branches
         n_branches = len(branches)
-        scan = (
-            self._next_uncovered_edge
-            if self.strategy is Strategy.EDGE_BRANCH
-            else self._next_triplet
-        )
+        adj = self._adj
         flags = self._flags
         live = self._live
+        find = live.find
         candidates = self._candidates
         trail = self._trail
         stack: list[list] = []
+        ptr = 0
         nodes = 0
+        scans = 0
         next_check = _TIME_CHECK_INTERVAL
         max_depth = 0
+        certificate = None
         while True:
             # Expand a node at depth len(stack) with budget k >= 0.
             nodes += 1
+            scans += 1
             if len(stack) > max_depth:
                 max_depth = len(stack)
             if deadline is not None and nodes >= next_check:
                 next_check += _TIME_CHECK_INTERVAL
                 if time.perf_counter() > deadline:
                     raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
-            entry_ptr = self._ptr
-            frontier = scan()
-            if frontier is not None:
-                stack.append([frontier, -1, k, entry_ptr])
+            p = find(1, ptr)
+            while p >= 0:
+                frontier = [p]
+                for w in adj[p]:
+                    if not flags[w]:
+                        frontier.append(w)
+                        if len(frontier) > need:
+                            break
+                else:
+                    p = find(1, p + 1)
+                    continue
+                break
+            if p >= 0:
+                stack.append([frontier, -1, k, ptr])
+                ptr = p
                 found = False
             else:
                 ends = self._isolated_ends()
                 found = len(ends) <= k
                 if found:
-                    self._certificate = frozenset(trail + ends)
+                    certificate = frozenset(trail + ends)
             # Pass the outcome up until a frame has a branch left that its
             # budget affords.  A branch over budget would fail at once: it
             # counts as a node at depth len(stack) but is never entered.
@@ -349,10 +316,10 @@ class BranchSolver:
                     # Some child at this depth was entered or counted.
                     if len(stack) > max_depth:
                         max_depth = len(stack)
-                self._ptr = entry_ptr
+                ptr = entry_ptr
                 stack.pop()
             else:
-                return found, nodes, max_depth
+                return certificate, nodes, max_depth, scans
 
 
 def decide_vc(

@@ -113,6 +113,32 @@ def test_run_benchmark_records_generation_failures():
         assert r.decision is True
 
 
+def test_run_benchmark_accepts_strategy_names(monkeypatch):
+    config = dict(n_values=[20], k_values=[3, 4, 5])
+    by_name = run_benchmark(BenchConfig(**config, strategies=("p3",)))
+    by_member = run_benchmark(BenchConfig(**config, strategies=(Strategy.CLASSIC_P3,)))
+    assert all(r.strategy is Strategy.CLASSIC_P3 for r in by_name)
+
+    def without_times(records):
+        rows = [line.split(",") for line in write_report(records).splitlines()]
+        return [row[:7] + row[8:] for row in rows]
+
+    assert without_times(by_name) == without_times(by_member)
+    (fit,) = estimate_branching_factor(by_name)
+    assert fit.strategy is Strategy.CLASSIC_P3
+
+    # an unknown name fails in validate(), before any instance is made
+    def no_generation(*args):
+        raise AssertionError("generated an instance")
+
+    monkeypatch.setattr("vckit.bench.gen_planted", no_generation)
+    bad = BenchConfig(**config, strategies=("p3", "nope"))
+    with pytest.raises(ValueError, match="'nope'"):
+        bad.validate()
+    with pytest.raises(ValueError, match="'nope'"):
+        run_benchmark(bad)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="repetitions"):
         BenchConfig(repetitions=0).validate()

@@ -182,16 +182,38 @@ def test_decide_matches_oracle_on_random_graphs():
                 assert _session_snapshot(solver) == before
 
 
-def test_decide_deterministic_across_sessions():
+def _outcome(result):
+    stats = result.stats
+    return (
+        result.decision,
+        result.certificate,
+        stats.nodes_expanded,
+        stats.max_depth,
+        stats.triplet_scans,
+    )
+
+
+def test_decide_deterministic_across_sessions(monkeypatch):
     g = gen_gnm(14, 45, seed=8)
     for strategy in ALL_STRATEGIES:
         a = BranchSolver(g, strategy).decide(4)
         b = BranchSolver(g, strategy).decide(4)
-        assert a.decision == b.decision
-        assert a.certificate == b.certificate
-        assert a.stats.nodes_expanded == b.stats.nodes_expanded
-        assert a.stats.max_depth == b.stats.max_depth
-        assert a.stats.triplet_scans == b.stats.triplet_scans
+        assert _outcome(a) == _outcome(b)
+    # A reused session answers like a fresh one after a false decide and
+    # after a timeout mid-search.  p3's trees here stay below the default
+    # check interval, so check the deadline every 16 nodes.
+    monkeypatch.setattr(solver_module, "_TIME_CHECK_INTERVAL", 16)
+    k = 6
+    for seed in (1, 2, 3):
+        g = _relabeled_planted(seed)
+        for strategy in ALL_STRATEGIES:
+            session = BranchSolver(g, strategy)
+            below = session.decide(k - 1)
+            with pytest.raises(SolveTimeout):
+                session.decide(k, time_limit=0.0)
+            at = session.decide(k)
+            assert _outcome(below) == _outcome(BranchSolver(g, strategy).decide(k - 1))
+            assert _outcome(at) == _outcome(BranchSolver(g, strategy).decide(k))
 
 
 def test_decide_monotone_in_budget():
@@ -262,28 +284,29 @@ def _relabeled_planted(seed):
     return Graph(200, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
 
 
+class _LongestTrail(list):
+    """A trail that records the longest it has been."""
+
+    longest = 0
+
+    def append(self, v):
+        super().append(v)
+        if len(self) > self.longest:
+            self.longest = len(self)
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
-def test_selection_never_exceeds_budget(seed, monkeypatch):
+def test_selection_never_exceeds_budget(seed):
     # branches over budget are counted as nodes but never selected; every
-    # entered node scans exactly once, so recording the selection's size
-    # at each scan sees every selection the search makes
+    # selected vertex goes onto the trail, so the trail's longest length
+    # is the largest selection the search ever makes
     g = _relabeled_planted(seed)
-    lengths = []
-
-    def recording(scan):
-        def wrapper(self):
-            lengths.append(len(self._trail))
-            return scan(self)
-
-        return wrapper
-
-    for name in ("_next_triplet", "_next_uncovered_edge"):
-        monkeypatch.setattr(BranchSolver, name, recording(getattr(BranchSolver, name)))
     for strategy in ALL_STRATEGIES:
         for k in (6, 5):
-            lengths.clear()
-            decide_vc(g, k, strategy)
-            assert lengths and max(lengths) <= k, (strategy, k)
+            solver = BranchSolver(g, strategy)
+            solver._trail = _LongestTrail()
+            solver.decide(k)
+            assert 0 < solver._trail.longest <= k, (strategy, k)
 
 
 # The branches of each strategy, restated apart from the solver's table:
