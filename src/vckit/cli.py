@@ -17,6 +17,7 @@ from dataclasses import asdict
 
 from .bench import (
     BenchConfig,
+    _parse_config_value,
     estimate_branching_factor,
     parse_config_file,
     run_benchmark,
@@ -35,6 +36,22 @@ from .solver import (
 )
 
 _STRATEGY_CHOICES = [s.value for s in Strategy]
+
+# The sweep flags of `vckit bench` as (flag, config-file key, help).  A
+# flag's text is read as the value of its key in a config file, and
+# overrides that key.
+_BENCH_FLAGS = (
+    ("--n", "n_values", "comma-separated n values"),
+    ("--k", "k_values", "comma-separated k values"),
+    ("--seed", "seeds", "comma-separated seeds"),
+    (
+        "--strategy", "strategies",
+        f"comma-separated strategies from {{{','.join(_STRATEGY_CHOICES)}}}",
+    ),
+    ("--extra-edge-ratio", "extra_edge_ratio", "extra edges as a fraction of n"),
+    ("--repetitions", "repetitions", "solves per cell; the median time is kept"),
+    ("--time-limit", "time_limit", "per-solve time limit in seconds, or none"),
+)
 
 
 def _read_graph(path: str) -> Graph:
@@ -154,31 +171,18 @@ def _cmd_verify(args) -> int:
     return 0 if valid else 1
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.replace(",", " ").split()]
-
-
 def _cmd_bench(args) -> int:
     if args.config is not None:
         config = parse_config_file(args.config)
     else:
         config = BenchConfig()
-    if args.n is not None:
-        config.n_values = _parse_int_list(args.n)
-    if args.k is not None:
-        config.k_values = _parse_int_list(args.k)
-    if args.seed is not None:
-        config.seeds = _parse_int_list(args.seed)
-    if args.strategy is not None:
-        config.strategies = tuple(
-            Strategy(s) for s in args.strategy.replace(",", " ").split()
-        )
-    if args.extra_edge_ratio is not None:
-        config.extra_edge_ratio = args.extra_edge_ratio
-    if args.repetitions is not None:
-        config.repetitions = args.repetitions
-    if args.time_limit is not None:
-        config.time_limit = args.time_limit
+    for flag, key, _ in _BENCH_FLAGS:
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                setattr(config, key, _parse_config_value(key, text))
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
 
     records = run_benchmark(config)
     sys.stdout.write(write_report(records, "table"))
@@ -272,19 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run a benchmark sweep over planted instances"
     )
     p_bench.add_argument("--config", default=None, help="key = value config file")
-    p_bench.add_argument("--n", default=None, help="comma-separated n values")
-    p_bench.add_argument("--k", default=None, help="comma-separated k values")
-    p_bench.add_argument("--seed", default=None, help="comma-separated seeds")
-    p_bench.add_argument(
-        "--strategy", default=None,
-        help=f"comma-separated strategies from {{{','.join(_STRATEGY_CHOICES)}}}",
-    )
-    p_bench.add_argument("--extra-edge-ratio", type=float, default=None)
-    p_bench.add_argument("--repetitions", type=int, default=None)
-    p_bench.add_argument(
-        "--time-limit", type=float, default=None, metavar="SECONDS",
-        help="per-solve time limit",
-    )
+    for flag, key, help_text in _BENCH_FLAGS:
+        p_bench.add_argument(flag, dest=key, default=None, help=help_text)
     p_bench.add_argument("--output", default=None, help="write the CSV report here")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -125,19 +125,3 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"
 
-    def validate(self) -> None:
-        """Re-check the structural invariants; raises AssertionError.
-
-        Construction already guarantees these, so this is only useful as
-        a test hook after exercising code that touches internals.
-        """
-        assert len(self._adj) == self._n
-        for v, a in enumerate(self._adj):
-            assert all(x < y for x, y in zip(a, a[1:])), (
-                f"neighbors of {v} not strictly ascending"
-            )
-            for w in a:
-                assert w != v, f"self-loop at {v}"
-                assert 0 <= w < self._n, f"neighbor {w} of {v} out of range"
-                assert self.has_edge(w, v), f"asymmetric edge ({v}, {w})"
-        assert sum(len(a) for a in self._adj) == 2 * self._m

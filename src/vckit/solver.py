@@ -9,11 +9,12 @@ list of ways to cover the frontier and searches each with the budget
 reduced by the number of vertices added.  Search stops at the first
 success; every branch restores the selected set on the way out.  One
 loop over an explicit stack walks the tree for every strategy and
-budget, with O(n + k) extra state and no recursion.  Selecting and
-deselecting a vertex is O(1); a node pays for its frontier scan, which
-reads the neighbors of each candidate it visits only until it has found
-the unselected ones it needs, and a node with no frontier left pays one
-O(n + m) pass to count the uncovered edges.
+budget, with O(n + k) extra state and no recursion.  The selection is
+one byte per vertex plus a trail of the selected vertices, so selecting
+and deselecting a vertex is O(1); a node pays for its frontier scan,
+which reads the neighbors of each candidate it visits only until it has
+found the unselected ones it needs, and a node with no frontier left
+pays one O(n + m) pass to count the uncovered edges.
 
 The frontier is deterministic: its center is the first vertex in
 ascending id order with at least `need` unselected neighbors, so for
@@ -66,7 +67,13 @@ class SolveTimeout(Exception):
 
 @dataclass
 class SolveStats:
-    """Search-effort counters for one decide() call (or a merged run)."""
+    """Search-effort counters for one decide() call (or a merged run).
+
+    nodes_expanded counts every child the branching rule makes, including
+    over-budget children that are counted but never entered.
+    triplet_scans counts the entered nodes, each of which scans once for
+    its frontier: nodes_expanded minus the skipped over-budget children.
+    """
 
     nodes_expanded: int = 0
     max_depth: int = 0
@@ -94,9 +101,10 @@ class SolveResult:
     stats: SolveStats
 
 
-# Check the deadline at the first entered node at or past each multiple
-# of this many nodes.  A threshold, not a mask on the count: skipped
-# over-budget children advance the count without entering a node.
+# Check the deadline at the first node the search enters, then at the
+# first node it enters once this many more nodes have been counted.  A
+# threshold, not a mask on the count: skipped over-budget children
+# advance the count without entering a node.
 _TIME_CHECK_INTERVAL = 256
 
 # Each strategy's rule as (need, branches).  Its frontier is a center v
@@ -126,14 +134,14 @@ class BranchSolver:
     """A reusable decision session over a fixed graph and strategy.
 
     decide() is its one operation.  The session is the selection the
-    search works on: per-vertex flags, a trail in selection order, and
-    one byte per vertex marking the unselected scan candidates, the
-    vertices whose degree lets them be a center at all.  Selecting or
-    deselecting a vertex touches only those three structures, so it is
-    O(1) whatever the vertex's degree.  Every way out of decide() leaves
-    the selection empty, so one session serves any number of budgets;
-    the scan pointer, the counters and the certificate belong to one
-    search and live in it.
+    search works on: one byte per vertex and the trail of selected
+    vertices in selection order.  A selected vertex's byte is 0; an
+    unselected one holds 1 if its degree lets it be a center (a scan
+    candidate) and 2 otherwise.  Selecting or deselecting a vertex
+    writes one byte and the trail, so it is O(1) whatever its degree.
+    Every way out of decide() leaves the selection empty, so one session
+    serves any number of budgets; the stack, the counters and the
+    certificate belong to one search and live in it.
     """
 
     def __init__(self, graph: Graph, strategy: Strategy | str = Strategy.PAPER_FIVE):
@@ -142,33 +150,35 @@ class BranchSolver:
         need, self._branches = _RULES[self.strategy]
         self._need = need
         self._adj = graph.sorted_adjacency
-        self._candidates = bytes(len(a) >= need for a in self._adj)
-        self._flags = bytearray(graph.vertex_count)
+        # Each vertex's byte while it is unselected.
+        self._unselected = bytes(1 if len(a) >= need else 2 for a in self._adj)
+        self._state = bytearray(self._unselected)
         self._trail: list[int] = []
-        self._reset()
 
     def _reset(self) -> None:
-        """Empty the selection and mark every candidate live again.
+        """Empty the selection.
 
         Unlike rewinding the trail, this is correct from any state,
         including one left by an interrupt halfway through a selection
         or a deselection.
         """
-        self._flags[:] = bytes(len(self._flags))
+        self._state[:] = self._unselected
         self._trail.clear()
-        self._live = bytearray(self._candidates)
 
     def decide(self, k: int, time_limit: float | None = None) -> SolveResult:
         """Decide tau(graph) <= k.
 
         A true decision carries a cover of at most k vertices as its
-        certificate.  time_limit is in seconds; exceeding it raises
-        SolveTimeout, and a NaN limit raises ValueError.  The selection
-        is empty on entry and on every way out: a finished search has
-        unwound each branch, and an abort (timeout, KeyboardInterrupt)
-        rebuilds the session, which stays usable.  The search keeps its
-        own stack, so any budget runs on the caller's thread without
-        touching the recursion limit.
+        certificate.  time_limit is in seconds; a NaN limit raises
+        ValueError.  The search reads the clock at the first node it
+        enters, then each time it enters a node once 256 more nodes have
+        been counted, and raises SolveTimeout at the first reading past
+        the limit.  So a spent limit raises before any branching, however
+        small the tree.  The selection is empty on entry and on every way
+        out: a finished search has unwound each branch, and an abort
+        (timeout, KeyboardInterrupt) resets the session, which stays
+        usable.  The search keeps its own stack, so any budget runs on
+        the caller's thread without touching the recursion limit.
         """
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
@@ -178,7 +188,7 @@ class BranchSolver:
             certificate, nodes, max_depth, scans = self._search(k, deadline)
         except BaseException:
             # An abort (timeout, interrupt) leaves the search mid-branch,
-            # possibly mid-update; rebuild the session from the graph.
+            # possibly mid-update; reset the session from scratch.
             self._reset()
             raise
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -203,12 +213,12 @@ class BranchSolver:
         vertex has at most one unselected neighbor: then the uncovered
         edges are pairwise disjoint and each is reported once.
         """
-        flags = self._flags
+        state = self._state
         ends = []
         for v, neighbors in enumerate(self._adj):
-            if not flags[v]:
+            if state[v]:
                 for w in neighbors:
-                    if not flags[w]:
+                    if state[w]:
                         if v < w:
                             ends.append(v)
                         break
@@ -221,56 +231,56 @@ class BranchSolver:
         (certificate or None, nodes_expanded, max_depth, scans).
 
         Each frame of the explicit stack is [frontier, branch_index,
-        budget, entry_ptr] for one expanded node; the trail holds the
-        vertices of the branch in flight at every level.  A child whose
-        branch costs more than the budget is counted as a failed node at
-        depth + 1 but never entered, so nothing is selected beyond the
-        budget, while nodes_expanded and max_depth still describe the
-        whole tree the branching rule visits.  A node with no frontier
-        left decides itself: its remaining uncovered edges are disjoint,
-        and it succeeds iff the budget covers one endpoint of each.
+        mark] for one expanded node, where mark is the trail's length
+        when the node was entered; the trail holds the vertices of the
+        branch in flight at every level, so unwinding a frame pops the
+        trail back to its mark.  A child whose branch would take the
+        selection past k is counted as a failed node at depth + 1 but
+        never entered, so nothing is selected beyond the budget, while
+        nodes_expanded and max_depth still describe the whole tree the
+        branching rule visits.  A node with no frontier left decides
+        itself: its remaining uncovered edges are disjoint, and it
+        succeeds iff the selection plus one endpoint of each fits in k.
 
-        Every entered node scans once.  The scan finds the next live
-        candidate with bytearray.find, which runs in C, and reads its
-        neighbors' flags only until it has the `need` unselected ones
-        the frontier takes.  The pointer invariant: every unselected
-        vertex below ptr fails the scan (it has fewer than `need`
-        unselected neighbors).  Selecting vertices only removes
-        unselected neighbors, so the invariant survives deeper in the
-        search; each frame restores the pointer it entered with, and a
-        scan that finds nothing leaves the pointer alone.
+        Every entered node scans once.  The scan finds the next
+        candidate (state byte 1) with bytearray.find, which runs in C,
+        and reads its neighbors' bytes only until it has the `need`
+        unselected ones the frontier takes.  It starts at the parent's
+        center, or at 0 at the root, by this invariant: every unselected
+        vertex below the parent's center fails the scan (it has fewer
+        than `need` unselected neighbors).  The parent's own scan found
+        it so, and selecting vertices only removes unselected neighbors,
+        so it still holds anywhere below the parent.
         """
         need = self._need
         branches = self._branches
         n_branches = len(branches)
         adj = self._adj
-        flags = self._flags
-        live = self._live
-        find = live.find
-        candidates = self._candidates
+        state = self._state
+        find = state.find
+        unselected = self._unselected
         trail = self._trail
         stack: list[list] = []
-        ptr = 0
         nodes = 0
         scans = 0
-        next_check = _TIME_CHECK_INTERVAL
+        next_check = 1
         max_depth = 0
         certificate = None
         while True:
-            # Expand a node at depth len(stack) with budget k >= 0.
+            # Enter a node at depth len(stack) with len(trail) <= k.
             nodes += 1
             scans += 1
             if len(stack) > max_depth:
                 max_depth = len(stack)
             if deadline is not None and nodes >= next_check:
-                next_check += _TIME_CHECK_INTERVAL
+                next_check = nodes + _TIME_CHECK_INTERVAL
                 if time.perf_counter() > deadline:
                     raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
-            p = find(1, ptr)
+            p = find(1, stack[-1][0][0] if stack else 0)
             while p >= 0:
                 frontier = [p]
                 for w in adj[p]:
-                    if not flags[w]:
+                    if state[w]:
                         frontier.append(w)
                         if len(frontier) > need:
                             break
@@ -279,48 +289,40 @@ class BranchSolver:
                     continue
                 break
             if p >= 0:
-                stack.append([frontier, -1, k, ptr])
-                ptr = p
+                stack.append([frontier, -1, len(trail)])
                 found = False
             else:
                 ends = self._isolated_ends()
-                found = len(ends) <= k
+                found = len(trail) + len(ends) <= k
                 if found:
                     certificate = frozenset(trail + ends)
-            # Pass the outcome up until a frame has a branch left that its
-            # budget affords.  A branch over budget would fail at once: it
+            # Pass the outcome up until a frame has a branch left that fits
+            # the budget.  A branch over budget would fail at once: it
             # counts as a node at depth len(stack) but is never entered.
             while stack:
                 frame = stack[-1]
-                frontier, b, budget, entry_ptr = frame
-                if b >= 0:
-                    for _ in branches[b]:
-                        v = trail.pop()
-                        flags[v] = 0
-                        live[v] = candidates[v]
+                frontier, b, mark = frame
+                while len(trail) > mark:
+                    v = trail.pop()
+                    state[v] = unselected[v]
                 if not found:
                     b += 1
-                    while b < n_branches and len(branches[b]) > budget:
+                    while b < n_branches and mark + len(branches[b]) > k:
                         nodes += 1
                         b += 1
                     if b < n_branches:
-                        branch = branches[b]
                         frame[1] = b
-                        for i in branch:
+                        for i in branches[b]:
                             v = frontier[i]
-                            flags[v] = 1
-                            live[v] = 0
+                            state[v] = 0
                             trail.append(v)
-                        k = budget - len(branch)
                         break
                     # Some child at this depth was entered or counted.
                     if len(stack) > max_depth:
                         max_depth = len(stack)
-                ptr = entry_ptr
                 stack.pop()
             else:
                 return certificate, nodes, max_depth, scans
-
 
 def decide_vc(
     g: Graph,
@@ -448,11 +450,7 @@ def min_vertex_cover(
     total = SolveStats()
     k = lp_lower_bound(g)
     while True:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise SolveTimeout("time limit exceeded between decision probes")
+        remaining = None if deadline is None else deadline - time.perf_counter()
         result = solver.decide(k, time_limit=remaining)
         total.merge(result.stats)
         if result.decision:

@@ -1,8 +1,8 @@
-"""Named graphs shared across the test modules."""
+"""Named graphs and checks shared across the test modules."""
 
 from __future__ import annotations
 
-from vckit import Graph
+from vckit import BranchSolver, Graph
 
 
 def path_graph(n: int) -> Graph:
@@ -42,3 +42,28 @@ def disjoint_paths_graph(parts: int) -> Graph:
         edges.append((base, base + 1))
         edges.append((base + 1, base + 2))
     return Graph(3 * parts, edges)
+
+
+def check_graph(g: Graph) -> None:
+    """Assert the simple-graph invariants: each neighbor tuple strictly
+    ascending, no self-loops, every id in range, symmetric adjacency,
+    and edge_count half the degree sum."""
+    n = g.vertex_count
+    adj = g.sorted_adjacency
+    assert len(adj) == n
+    for v, a in enumerate(adj):
+        assert all(x < y for x, y in zip(a, a[1:])), (
+            f"neighbors of {v} not strictly ascending"
+        )
+        for w in a:
+            assert w != v, f"self-loop at {v}"
+            assert 0 <= w < n, f"neighbor {w} of {v} out of range"
+            assert g.has_edge(w, v), f"asymmetric edge ({v}, {w})"
+    assert sum(len(a) for a in adj) == 2 * g.edge_count
+
+
+def session_snapshot(solver: BranchSolver):
+    """Everything a BranchSolver session holds between decide() calls,
+    all of which decide() must restore: its one state byte per vertex
+    and its trail."""
+    return bytes(solver._state), tuple(solver._trail)

@@ -28,19 +28,13 @@ from vckit import (
     write_report,
 )
 
+from graphutil import check_graph, session_snapshot
+
 ALL_STRATEGIES = tuple(Strategy)
 
 
 def _report(number: int, name: str, detail: str) -> None:
     print(f"[acceptance] criterion {number} ({name}): PASS - {detail}")
-
-
-def _session_snapshot(solver: BranchSolver):
-    return (
-        bytes(solver._flags),
-        tuple(solver._trail),
-        bytes(solver._live),
-    )
 
 
 def test_criterion_1_oracle_equivalence_on_all_small_graphs():
@@ -236,13 +230,13 @@ def test_criterion_8_decide_leaves_no_trace():
         edges_before = list(g.edges())
         strategy = ALL_STRATEGIES[cases % len(ALL_STRATEGIES)]
         solver = BranchSolver(g, strategy)
-        before = _session_snapshot(solver)
+        before = session_snapshot(solver)
         solver.decide(k)
-        assert _session_snapshot(solver) == before, (
+        assert session_snapshot(solver) == before, (
             f"state leak: n={n} m={m} k={k} strategy={strategy.value}"
         )
         assert list(g.edges()) == edges_before
-        g.validate()
+        check_graph(g)
         cases += 1
     _report(8, "backtracking purity", f"{cases} decide calls, no state leaks")
 

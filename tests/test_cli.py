@@ -17,6 +17,7 @@ from vckit import (
     DimacsFormatWarning,
     gen_planted,
     parse_dimacs,
+    run_benchmark,
     verify_cover,
     write_dimacs,
 )
@@ -289,6 +290,34 @@ def test_bench_config_file(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "time_ms[p3]" in out
+
+
+def test_bench_flags_parse_like_config_lines(tmp_path, monkeypatch, capsys):
+    # the same text as a flag or as a config-file line gives the same
+    # sweep, including a time limit of none
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return run_benchmark(config)
+
+    monkeypatch.setattr(cli, "run_benchmark", recording)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        "n_values = 40\nk_values = 2, 3\nseeds = 1\nstrategies = p3 edge\n"
+        "repetitions = 2\nextra_edge_ratio = 0.2\ntime_limit = none\n"
+    )
+    assert main(["bench", "--config", str(cfg)]) == 0
+    assert main([
+        "bench", "--n", "40", "--k", "2, 3", "--seed", "1",
+        "--strategy", "p3 edge", "--repetitions", "2",
+        "--extra-edge-ratio", "0.2", "--time-limit", "none",
+    ]) == 0
+    assert configs[0] == configs[1]
+    assert configs[1].time_limit is None
+    capsys.readouterr()
+    assert main(["bench", "--repetitions", "two"]) == 2
+    assert capsys.readouterr().err.startswith("error: --repetitions: ")
 
 
 def test_bench_invalid_config(capsys):

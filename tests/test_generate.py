@@ -8,6 +8,8 @@ import pytest
 
 from vckit import GraphError, brute_force_tau, gen_gnm, gen_planted
 
+from graphutil import check_graph
+
 
 def test_planted_zero_extra_is_a_matching():
     inst = gen_planted(6, 2, 0, seed=11)
@@ -26,7 +28,7 @@ def test_planted_structure_invariants():
         extra = rng.randrange(0, min(available, 3 * n) + 1)
         inst = gen_planted(n, k, extra, seed=rng.randrange(2**32))
         g = inst.graph
-        g.validate()
+        check_graph(g)
         cover = inst.planted_cover
         assert cover == frozenset(range(k))
         assert g.edge_count == k + extra
@@ -86,7 +88,7 @@ def test_gnm_exact_edge_count_and_validity():
         total = n * (n - 1) // 2
         m = rng.randrange(0, total + 1)
         g = gen_gnm(n, m, seed=rng.randrange(2**32))
-        g.validate()
+        check_graph(g)
         assert g.vertex_count == n
         assert g.edge_count == m
 

@@ -8,7 +8,7 @@ import pytest
 
 from vckit import Graph, GraphError, gen_gnm
 
-from graphutil import complete_graph, path_graph
+from graphutil import check_graph, complete_graph, path_graph
 
 
 def test_path_construction():
@@ -97,7 +97,7 @@ def test_random_graphs_satisfy_invariants():
         n = rng.randrange(1, 40)
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         g = gen_gnm(n, m, seed=rng.randrange(2**32))
-        g.validate()
+        check_graph(g)
         assert g.edge_count == m
         # edge iterator agrees with the adjacency tuples
         listed = list(g.edges())

@@ -39,19 +39,11 @@ from graphutil import (
     matching_graph,
     path_graph,
     petersen_graph,
+    session_snapshot,
     star_graph,
 )
 
 ALL_STRATEGIES = tuple(Strategy)
-
-
-def _session_snapshot(solver: BranchSolver):
-    """Everything decide() must restore."""
-    return (
-        bytes(solver._flags),
-        tuple(solver._trail),
-        bytes(solver._live),
-    )
 
 
 # -- decide: worked examples ------------------------------------------
@@ -164,7 +156,7 @@ def test_decide_matches_oracle_on_random_graphs():
         tau = brute_force_tau(g)
         for strategy in ALL_STRATEGIES:
             solver = BranchSolver(g, strategy)
-            before = _session_snapshot(solver)
+            before = session_snapshot(solver)
             for k in range(n + 1):
                 result = solver.decide(k)
                 assert result.decision == (tau <= k), (
@@ -179,7 +171,7 @@ def test_decide_matches_oracle_on_random_graphs():
                 assert result.stats.max_depth <= k + 1
                 assert result.stats.nodes_expanded >= 1
                 assert result.stats.max_depth <= result.stats.nodes_expanded
-                assert _session_snapshot(solver) == before
+                assert session_snapshot(solver) == before
 
 
 def _outcome(result):
@@ -193,16 +185,14 @@ def _outcome(result):
     )
 
 
-def test_decide_deterministic_across_sessions(monkeypatch):
+def test_decide_deterministic_across_sessions():
     g = gen_gnm(14, 45, seed=8)
     for strategy in ALL_STRATEGIES:
         a = BranchSolver(g, strategy).decide(4)
         b = BranchSolver(g, strategy).decide(4)
         assert _outcome(a) == _outcome(b)
     # A reused session answers like a fresh one after a false decide and
-    # after a timeout mid-search.  p3's trees here stay below the default
-    # check interval, so check the deadline every 16 nodes.
-    monkeypatch.setattr(solver_module, "_TIME_CHECK_INTERVAL", 16)
+    # after a timeout.
     k = 6
     for seed in (1, 2, 3):
         g = _relabeled_planted(seed)
@@ -434,17 +424,41 @@ def test_timeout_raises_and_restores_session():
     g = gen_gnm(20, 95, seed=4)
     tau = brute_force_tau(g)
     solver = BranchSolver(g)
-    before = _session_snapshot(solver)
+    before = session_snapshot(solver)
     with pytest.raises(SolveTimeout):
         solver.decide(tau - 1, time_limit=1e-7)
-    assert _session_snapshot(solver) == before
+    assert session_snapshot(solver) == before
     # the session stays usable afterwards
     assert solver.decide(tau).decision is True
 
 
+def test_spent_time_limit_raises_on_a_small_tree():
+    # p3 decides this graph at k=6 in 51 nodes, far fewer than the check
+    # interval; the deadline is still read at the first node
+    g = _relabeled_planted(1)
+    solver = BranchSolver(g, Strategy.CLASSIC_P3)
+    assert solver.decide(6).stats.nodes_expanded == 51
+    before = session_snapshot(solver)
+    with pytest.raises(SolveTimeout, match=r"after 1 nodes$"):
+        solver.decide(6, time_limit=0.0)
+    assert session_snapshot(solver) == before
+
+
+class _TickingClock:
+    """A stand-in for the time module whose perf_counter advances one
+    second per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
 # Trees of 512+ nodes, decided false: (graph, k).  Their searches skip
 # over-budget children, so the node count steps over most multiples of
-# 256; the deadline must still be checked within the first 512 nodes.
+# 256; a deadline check must still land after the first one.
 _LARGE_TREES = {
     "planted_n1000": (lambda: gen_planted(1000, 9, 500, 7).graph, 8),
     "planted_n200": (lambda: gen_planted(200, 7, 100, 1).graph, 6),
@@ -462,19 +476,28 @@ _LARGE_TREES = {
         ("edge", "gnm_n18"),
     ],
 )
-def test_zero_time_limit_times_out_large_trees(strategy, tree):
+def test_zero_time_limit_times_out_large_trees(strategy, tree, monkeypatch):
     build, k = _LARGE_TREES[tree]
     solver = BranchSolver(build(), strategy)
-    before = _session_snapshot(solver)
+    before = session_snapshot(solver)
     full = solver.decide(k)
     assert full.decision is False
     assert full.stats.nodes_expanded >= 512
-    with pytest.raises(SolveTimeout) as info:
+    with pytest.raises(SolveTimeout, match=r"after 1 nodes$"):
         solver.decide(k, time_limit=0.0)
-    # the first check comes at the first entered node from 256 on
+    assert session_snapshot(solver) == before
+    # decide reads the clock for the deadline and for its start time, and
+    # the search then reads it once per check: a limit of 2.5 ticks runs
+    # out after the first check and before the second
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "time", _TickingClock())
+        with pytest.raises(SolveTimeout) as info:
+            solver.decide(k, time_limit=2.5)
+    # the second check comes at the first entered node once 256 more
+    # nodes have been counted
     match = re.fullmatch(r"time limit exceeded after (\d+) nodes", str(info.value))
-    assert 256 <= int(match[1]) < 512
-    assert _session_snapshot(solver) == before
+    assert 257 <= int(match[1]) < 512
+    assert session_snapshot(solver) == before
     again = solver.decide(k)
     assert (again.decision, again.stats.nodes_expanded) == (
         False,
@@ -509,7 +532,7 @@ def test_interrupt_at_any_line_restores_session(strategy):
     # including halfway through selecting or deselecting a branch
     g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     solver = BranchSolver(g, strategy)
-    before = _session_snapshot(solver)
+    before = session_snapshot(solver)
     previous = sys.gettrace()
     n = 0
     while True:
@@ -523,7 +546,7 @@ def test_interrupt_at_any_line_restores_session(strategy):
             break
         finally:
             sys.settrace(previous)
-        assert _session_snapshot(solver) == before, f"interrupt at line event {n}"
+        assert session_snapshot(solver) == before, f"interrupt at line event {n}"
         assert solver.decide(2).decision is True
         assert solver.decide(1).decision is False
     assert n > 100
@@ -538,7 +561,7 @@ def test_real_sigint_during_deep_search_restores_session():
         e for t in range(0, 900, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))
     ])
     solver = BranchSolver(g, Strategy.CLASSIC_P3)
-    before = _session_snapshot(solver)
+    before = session_snapshot(solver)
     old_handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     timer = threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT))
     try:
@@ -550,10 +573,10 @@ def test_real_sigint_during_deep_search_restores_session():
         timer.join(5.0)
         signal.signal(signal.SIGINT, old_handler)
     assert not timer.is_alive()
-    assert _session_snapshot(solver) == before
+    assert session_snapshot(solver) == before
     # nothing keeps writing to the session after decide() has returned
     time.sleep(0.2)
-    assert _session_snapshot(solver) == before
+    assert session_snapshot(solver) == before
 
 
 def test_no_timeout_when_limit_is_generous():
