@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from statistics import median
+from statistics import linear_regression, median
 from typing import Iterable, Optional, Sequence
 
 from .generate import gen_planted
 from .graph import GraphError
 from .solver import BranchSolver, SolveTimeout, Strategy
 
+# The CSV columns in order, each a BenchRecord field; a field left out
+# of this header never reaches the CSV.
 CSV_HEADER = "n,k_input,tau,strategy,decision,nodes_expanded,max_depth,time_ms,seed,timed_out"
 
 _STRATEGY_ORDER = tuple(Strategy)  # paper5, p3, edge
@@ -48,8 +50,6 @@ class BenchConfig:
     def validate(self) -> None:
         if not self.n_values or not self.k_values or not self.seeds:
             raise ValueError("n_values, k_values and seeds must be non-empty")
-        if any(n < 2 for n in self.n_values):
-            raise ValueError(f"every n must be >= 2, got {self.n_values}")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"every k must be >= 1, got {self.k_values}")
         if any(seed < 0 for seed in self.seeds):
@@ -67,37 +67,38 @@ class BenchConfig:
             )
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
-        known = {s.value for s in Strategy}
         for name in self.strategies:
-            if name not in known:
-                raise ValueError(
-                    f"unknown strategy {name!r}, expected one of {sorted(known)}"
-                )
+            Strategy(name)  # raises ValueError naming an unknown strategy
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
-            raise ValueError(
-                f"time_limit must be finite and > 0, got {self.time_limit}"
-            )
+        _check_time_limit(self.time_limit, "time_limit")
 
 
-@dataclass(frozen=True)
+def _check_time_limit(seconds: Optional[float], name: str) -> Optional[float]:
+    """seconds, checked: None for no limit, else finite and > 0."""
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {seconds}")
+    return seconds
+
+
+@dataclass(frozen=True, kw_only=True)
 class BenchRecord:
     """One (n, k, strategy, seed) cell of a sweep.
 
-    A timed-out record keeps its identity fields and tau but carries no
-    decision or counters.  A record whose instance generation failed
-    (infeasible parameters) has tau None and the failure text in error.
+    A measurement a record lacks is None.  A timed-out record keeps its
+    identity fields and tau but carries no decision or counters.  A
+    record whose instance generation failed (infeasible parameters) has
+    tau None too and the failure text in error.
     """
 
     n: int
     k_input: int
-    tau: Optional[int]
+    tau: Optional[int] = None
     strategy: Strategy
-    decision: Optional[bool]
-    nodes_expanded: Optional[int]
-    max_depth: Optional[int]
-    time_ms: Optional[float]
+    decision: Optional[bool] = None
+    nodes_expanded: Optional[int] = None
+    max_depth: Optional[int] = None
+    time_ms: Optional[float] = None
     seed: int
     timed_out: bool = False
     error: Optional[str] = None
@@ -125,9 +126,7 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
                     for strategy in strategies:
                         records.append(
                             BenchRecord(
-                                n=n, k_input=k, tau=None, strategy=strategy,
-                                decision=None, nodes_expanded=None,
-                                max_depth=None, time_ms=None, seed=seed,
+                                n=n, k_input=k, strategy=strategy, seed=seed,
                                 error=str(exc),
                             )
                         )
@@ -149,9 +148,8 @@ def _solve_cell(instance, strategy: Strategy, config: BenchConfig) -> BenchRecor
             outcome = solver.decide(k, time_limit=config.time_limit)
         except SolveTimeout:
             return BenchRecord(
-                n=n, k_input=k, tau=k, strategy=strategy, decision=None,
-                nodes_expanded=None, max_depth=None, time_ms=None,
-                seed=instance.seed, timed_out=True,
+                n=n, k_input=k, tau=k, strategy=strategy, seed=instance.seed,
+                timed_out=True,
             )
         times.append(outcome.stats.elapsed_ms)
     return BenchRecord(
@@ -191,21 +189,16 @@ def estimate_branching_factor(records: Iterable[BenchRecord]) -> list[BranchingF
     """
     groups: dict[tuple[Strategy, int], list[BenchRecord]] = {}
     for record in records:
-        if not (record.timed_out or record.error or record.nodes_expanded is None):
+        if record.nodes_expanded is not None:
             groups.setdefault((record.strategy, record.n), []).append(record)
     fits = []
     for strategy, n in sorted(groups, key=lambda key: (key[0].value, key[1])):
         members = groups[(strategy, n)]
         if len({r.k_input for r in members}) < 3:
             continue
-        xs = [float(r.k_input) for r in members]
+        xs = [r.k_input for r in members]
         ys = [math.log(r.nodes_expanded) for r in members]
-        x_mean = sum(xs) / len(xs)
-        y_mean = sum(ys) / len(ys)
-        sxx = sum((x - x_mean) ** 2 for x in xs)
-        sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-        slope = sxy / sxx
-        intercept = y_mean - slope * x_mean
+        slope, intercept = linear_regression(xs, ys)
         residual = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
         fits.append(
             BranchingFit(
@@ -225,10 +218,16 @@ def _sort_key(record: BenchRecord):
     return (record.n, record.k_input, record.strategy.value, record.seed)
 
 
-def _csv_cell_bool(value: Optional[bool]) -> str:
+def _csv_cell(value) -> str:
     if value is None:
         return ""
-    return "true" if value else "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    if isinstance(value, Strategy):
+        return value.value
+    return str(value)
 
 
 def write_report(records: Iterable[BenchRecord], fmt: str = "csv") -> str:
@@ -247,24 +246,10 @@ def write_report(records: Iterable[BenchRecord], fmt: str = "csv") -> str:
 
 
 def _write_csv(ordered: Sequence[BenchRecord]) -> str:
+    columns = CSV_HEADER.split(",")
     lines = [CSV_HEADER]
     for r in ordered:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n),
-                    str(r.k_input),
-                    "" if r.tau is None else str(r.tau),
-                    r.strategy.value,
-                    _csv_cell_bool(r.decision),
-                    "" if r.nodes_expanded is None else str(r.nodes_expanded),
-                    "" if r.max_depth is None else str(r.max_depth),
-                    "" if r.time_ms is None else f"{r.time_ms:.3f}",
-                    str(r.seed),
-                    "true" if r.timed_out else "false",
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(getattr(r, column)) for column in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -13,19 +13,20 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
 from .bench import (
     BenchConfig,
+    _check_time_limit,
     _parse_config_value,
     estimate_branching_factor,
     parse_config_file,
     run_benchmark,
     write_report,
 )
-from .dimacs import parse_dimacs, read_dimacs_file, write_dimacs
+from .dimacs import parse_dimacs, write_dimacs
 from .generate import gen_planted
-from .graph import Graph
 from .oracle import verify_cover
 from .solver import (
     SolveStats,
@@ -54,21 +55,18 @@ _BENCH_FLAGS = (
 )
 
 
-def _read_graph(path: str) -> Graph:
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of stdin for '-'."""
     if path == "-":
-        return parse_dimacs(sys.stdin.read())
-    return read_dimacs_file(path)
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return fh.read()
 
 
 def _read_cover(path: str) -> list[int]:
     """Whitespace-separated vertex ids; 'c' or '#' lines are comments."""
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            lines = fh.read().splitlines()
     ids: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
             continue
@@ -89,17 +87,9 @@ def _print_stats_text(stats: SolveStats) -> None:
     print(f"time_ms: {stats.elapsed_ms:.3f}")
 
 
-def _time_limit(args) -> float | None:
-    """--time-limit, checked: None for no limit, else finite seconds > 0."""
-    seconds = args.time_limit
-    if seconds is not None and not 0 < seconds < math.inf:
-        raise ValueError(f"--time-limit must be finite and > 0, got {seconds}")
-    return seconds
-
-
 def _cmd_decide(args) -> int:
-    time_limit = _time_limit(args)
-    g = _read_graph(args.graph)
+    time_limit = _check_time_limit(args.time_limit, "--time-limit")
+    g = parse_dimacs(_read_text(args.graph))
     result = decide_vc(g, args.k, args.strategy, time_limit=time_limit)
     if args.json:
         payload = {
@@ -119,8 +109,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    time_limit = _time_limit(args)
-    g = _read_graph(args.graph)
+    time_limit = _check_time_limit(args.time_limit, "--time-limit")
+    g = parse_dimacs(_read_text(args.graph))
     size, cover, stats = min_vertex_cover(g, args.strategy, time_limit=time_limit)
     if args.json:
         payload = {
@@ -161,7 +151,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
+    if args.graph == "-" and args.cover == "-":
+        # The graph would read all of stdin and leave the cover empty.
+        raise ValueError("the graph and the cover cannot both be read from stdin")
+    g = parse_dimacs(_read_text(args.graph))
     cover = _read_cover(args.cover)
     valid = verify_cover(g, cover)
     if args.json:
@@ -183,8 +176,17 @@ def _cmd_bench(args) -> int:
                 setattr(config, key, _parse_config_value(key, text))
             except ValueError as exc:
                 raise ValueError(f"{flag}: {exc}") from None
+    config.validate()
 
-    records = run_benchmark(config)
+    # Opened before the sweep, so a bad output path fails before any solve.
+    output = (
+        nullcontext() if args.output is None
+        else open(args.output, "w", encoding="utf-8")
+    )
+    with output as csv_file:
+        records = run_benchmark(config)
+        if csv_file is not None:
+            csv_file.write(write_report(records, "csv"))
     sys.stdout.write(write_report(records, "table"))
 
     fits = estimate_branching_factor(records)
@@ -197,10 +199,6 @@ def _cmd_bench(args) -> int:
                 f"base={fit.base:.3f} (slope={fit.slope:.4f}, "
                 f"log_rmse={fit.log_rmse:.3f}, points={fit.points})"
             )
-
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(write_report(records, "csv"))
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import dimacs
 from .graph import Graph, GraphError
 
 _SEED_LIMIT = 2**64
@@ -30,9 +31,14 @@ class PlantedInstance:
     seed: int
 
 
-def _check_seed(seed: int) -> None:
+def _check_n_and_seed(n: int, seed: int) -> None:
     if not (0 <= seed < _SEED_LIMIT):
         raise GraphError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    # A graph the DIMACS parser would reject is refused before any sampling.
+    if n > dimacs.MAX_VERTICES:
+        raise GraphError(
+            f"n={n} is more than the {dimacs.MAX_VERTICES} vertices accepted"
+        )
 
 
 def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
@@ -50,11 +56,11 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
     needing its own cover vertex) and every edge touches C, so C itself
     is a cover and tau(G) == k exactly.
 
-    Raises GraphError when k < 1, 2k > n, extra_edges is negative, or
-    extra_edges exceeds the number of distinct cover-incident edges
-    available beyond the matching.
+    Raises GraphError when n exceeds dimacs.MAX_VERTICES, k < 1, 2k > n,
+    extra_edges is negative, or extra_edges exceeds the number of distinct
+    cover-incident edges available beyond the matching.
     """
-    _check_seed(seed)
+    _check_n_and_seed(n, seed)
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if 2 * k > n:
@@ -84,7 +90,7 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
             edge_set.add(edge)
             break
 
-    graph = Graph(n, sorted(edge_set))
+    graph = Graph(n, edge_set)
     return PlantedInstance(
         graph=graph,
         planted_k=k,
@@ -102,7 +108,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     the same protocol instead, keeping the draw count small; the result
     is still a uniform m-subset of all edges.
     """
-    _check_seed(seed)
+    _check_n_and_seed(n, seed)
     if n < 0:
         raise GraphError(f"n must be >= 0, got {n}")
     if m < 0:
@@ -122,7 +128,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
             for v in range(u + 1, n)
             if (u, v) not in excluded
         }
-    return Graph(n, sorted(edges))
+    return Graph(n, edges)
 
 
 def _sample_pairs(rng: random.Random, n: int, count: int) -> set[tuple[int, int]]:

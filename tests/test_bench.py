@@ -200,6 +200,14 @@ def test_csv_timed_out_row_blanks():
     assert line == "1000,12,12,paper5,,,,,3,true"
 
 
+def test_csv_generation_failure_row_blanks():
+    record = BenchRecord(
+        n=10, k_input=1, strategy=Strategy.PAPER_FIVE, seed=1, error="infeasible",
+    )
+    line = write_report([record], "csv").splitlines()[1]
+    assert line == "10,1,,paper5,,,,,1,false"
+
+
 def test_table_report_mentions_cells():
     records = run_benchmark(BenchConfig(**TINY))
     table = write_report(records, "table")

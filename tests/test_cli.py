@@ -253,6 +253,18 @@ def test_verify_non_integer_cover(p3_file, tmp_path, capsys):
     assert "non-integer" in capsys.readouterr().err
 
 
+def test_verify_rejects_graph_and_cover_both_from_stdin(monkeypatch, capsys):
+    # the graph would read all of stdin and leave the cover empty
+    stdin = write_dimacs(path_graph(3)) + "1\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["verify", "-", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the graph and the cover cannot both be read from stdin\n"
+    )
+
+
 def test_bench_table_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     rc = main([
@@ -323,6 +335,19 @@ def test_bench_flags_parse_like_config_lines(tmp_path, monkeypatch, capsys):
 def test_bench_invalid_config(capsys):
     assert main(["bench", "--k", "0"]) == 2
     assert "k must be >= 1" in capsys.readouterr().err
+
+
+def test_bench_bad_output_path_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def no_generation(*args):
+        raise AssertionError("generated an instance")
+
+    monkeypatch.setattr("vckit.bench.gen_planted", no_generation)
+    missing = tmp_path / "no_such_dir" / "sweep.csv"
+    assert main(["bench", "--n", "40", "--k", "2", "--output", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(missing) in captured.err
 
 
 @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from vckit import GraphError, brute_force_tau, gen_gnm, gen_planted
+from vckit import dimacs, generate
 
 from graphutil import check_graph
 
@@ -112,6 +113,18 @@ def test_gnm_parameter_errors():
         gen_gnm(4, -1, seed=1)
     with pytest.raises(GraphError, match="n must be >= 0"):
         gen_gnm(-2, 0, seed=1)
+
+
+def test_generators_refuse_more_vertices_than_the_parser_accepts(monkeypatch):
+    monkeypatch.setattr(dimacs, "MAX_VERTICES", 50)
+    assert gen_planted(50, 2, 10, seed=1).graph.vertex_count == 50
+    assert gen_gnm(50, 10, seed=1).vertex_count == 50
+    # refused before any sampling: the generators' random module is gone
+    monkeypatch.setattr(generate, "random", None)
+    with pytest.raises(GraphError, match="n=51 is more than the 50"):
+        gen_planted(51, 2, 10, seed=1)
+    with pytest.raises(GraphError, match="n=51 is more than the 50"):
+        gen_gnm(51, 10, seed=1)
 
 
 def test_gnm_empty_cases():
