@@ -65,6 +65,12 @@ class BenchConfig:
             raise ValueError(
                 f"extra_edge_ratio must be finite and >= 0, got {self.extra_edge_ratio}"
             )
+        largest_n = max(self.n_values)
+        if not math.isfinite(self.extra_edge_ratio * largest_n):
+            raise ValueError(
+                f"extra_edge_ratio {self.extra_edge_ratio} times n={largest_n} "
+                "is not a finite edge count"
+            )
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
         for name in self.strategies:

@@ -135,6 +135,10 @@ def _cmd_gen(args) -> int:
         ratio = 0.5 if args.extra_edge_ratio is None else args.extra_edge_ratio
         if not math.isfinite(ratio):
             raise ValueError(f"--extra-edge-ratio must be finite, got {ratio}")
+        if not math.isfinite(ratio * args.n):
+            raise ValueError(
+                f"--extra-edge-ratio {ratio} times n={args.n} is not a finite edge count"
+            )
         extra = round(ratio * args.n)
     instance = gen_planted(args.n, args.k, extra, args.seed)
     comments = (

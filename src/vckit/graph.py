@@ -54,22 +54,26 @@ class Graph:
         self._seal(adj)
 
     @classmethod
-    def _from_neighbor_lists(cls, adj: list[list[int]]) -> Graph:
+    def _from_neighbor_lists(cls, adj: list[list[int]], ordered: bool = False) -> Graph:
         """The Graph on vertices 0..len(adj)-1 whose neighbor lists are adj.
 
         For the package's own parser, which has already checked what
         ``__init__`` checks: every id in range, no self-loop, and each
-        edge entered in both endpoints' lists.  Consumes adj.
+        edge entered in both endpoints' lists.  ``ordered`` says that
+        each list is also ascending with no repeats, as the parser makes
+        them from edge lines it has found in order.  Consumes adj.
         """
         g = cls.__new__(cls)
-        g._seal(adj)
+        g._seal(adj, ordered)
         return g
 
-    def _seal(self, adj: list[list[int]]) -> None:
-        """Sort and dedup each neighbor list and freeze it, in place, into
-        its tuple, so each list is freed once its tuple is built."""
+    def _seal(self, adj: list[list[int]], ordered: bool = False) -> None:
+        """Freeze each neighbor list, in place, into its tuple, so each
+        list is freed once its tuple is built.  Unless ``ordered`` says
+        every list is already ascending with no repeats, each list is
+        sorted and deduped first."""
         for v, a in enumerate(adj):
-            if len(a) > 1:
+            if not ordered and len(a) > 1:
                 a.sort()
                 # A repeated or reversed edge shows as two equal neighbors.
                 if any(map(eq, a, a[1:])):

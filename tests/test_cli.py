@@ -217,6 +217,17 @@ def test_gen_rejects_non_finite_ratio(ratio, capsys):
     )
 
 
+def test_gen_rejects_ratio_with_infinite_edge_count(capsys):
+    # finite, but ratio * n overflows to inf, which round() cannot take
+    rc = main(["gen", "--n", "1000", "--k", "2", "--extra-edge-ratio", "1e308"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --extra-edge-ratio 1e+308 times n=1000 is not a finite edge count\n"
+    )
+
+
 def test_verify_valid_cover(p3_file, tmp_path, capsys):
     cover = tmp_path / "cover.txt"
     cover.write_text("c chosen by hand\n1\n")
@@ -358,6 +369,19 @@ def test_bench_rejects_non_finite_ratio(ratio, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"error: extra_edge_ratio must be finite and >= 0, got {float(ratio)}\n"
+    )
+
+
+def test_bench_rejects_ratio_with_infinite_edge_count(capsys):
+    # rejected by BenchConfig.validate at the largest n, before any cell runs
+    rc = main([
+        "bench", "--n", "40,1000", "--k", "2", "--extra-edge-ratio", "1e308",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: extra_edge_ratio 1e+308 times n=1000 is not a finite edge count\n"
     )
 
 

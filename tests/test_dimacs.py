@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -243,3 +244,203 @@ def test_parse_peak_within_twice_the_graph():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * _graph_bytes(g), (peak, _graph_bytes(g))
+
+
+def _reference_parse(text: str) -> Graph:
+    """The plain per-line parse: every line of text.splitlines() in turn.
+
+    No blocks, no bulk path and no ordered case: each edge line is
+    checked on its own, and the Graph comes from the public constructor
+    over all the edges.  parse_dimacs must agree with it on every text.
+    """
+    n = None
+    declared_m = 0
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "e":
+            if n is None:
+                raise DimacsError("edge line before problem line", lineno)
+            if len(fields) != 3:
+                raise DimacsError("edge line must be 'e <u> <v>'", lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise DimacsError(
+                    f"non-integer vertex id in edge line: {raw.strip()!r}", lineno
+                ) from None
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise DimacsError(f"vertex id outside 1..{n} in edge ({u}, {v})", lineno)
+            if u == v:
+                raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
+            edges.append((u - 1, v - 1))
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
+            if n is not None:
+                raise DimacsError("duplicate problem line", lineno)
+            if len(fields) != 4 or fields[1] != "edge":
+                raise DimacsError("problem line must be 'p edge <n> <m>'", lineno)
+            try:
+                n, declared_m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise DimacsError(
+                    f"non-integer field in problem line: {raw.strip()!r}", lineno
+                ) from None
+            if n < 0 or declared_m < 0:
+                raise DimacsError("negative count in problem line", lineno)
+            if n > MAX_VERTICES:
+                raise DimacsError(
+                    f"problem line declares {n} vertices, more than the "
+                    f"{MAX_VERTICES} accepted",
+                    lineno,
+                )
+        else:
+            raise DimacsError(f"unrecognized line type {tag!r}", lineno)
+    if n is None:
+        raise DimacsError("missing problem line")
+    g = Graph(n, edges)
+    if declared_m != g.edge_count:
+        warnings.warn(
+            f"problem line declares {declared_m} edges, found {g.edge_count} distinct",
+            DimacsFormatWarning,
+        )
+    return g
+
+
+def _outcome(parse, text: str):
+    """What parse makes of text: its Graph, or its DimacsError's message
+    and line; and the category and text of each warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except DimacsError as exc:
+            result = (str(exc), exc.line)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# The line breaks of str.splitlines() besides \n and \r\n.
+_OTHER_BREAKS = (
+    "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+
+
+def _respell(rng: random.Random, vertex_id: int) -> str:
+    """vertex_id as int() also reads it: +1, 01 or 1_0."""
+    text = str(vertex_id)
+    forms = [f"+{text}", f"0{text}"]
+    if len(text) > 1:
+        forms.append(f"{text[0]}_{text[1:]}")
+    return rng.choice(forms)
+
+
+def _differential_text(rng: random.Random, n: int, m: int) -> str:
+    """A DIMACS text for gen_gnm(n, m) whose edge lines are in order,
+    shuffled, or shuffled with repeats and reversals, then, each with
+    some chance, dressed in comments, blank lines, odd whitespace, odd
+    line breaks, odd spellings of ids and malformed lines."""
+    distinct = list(gen_gnm(n, m, seed=rng.randrange(2**32)).edges())
+    pairs = [(u + 1, v + 1) for u, v in distinct]
+    shape = rng.choice(("ordered", "shuffled", "repeats"))
+    if shape == "repeats" and pairs:
+        pairs += [(v, u) for u, v in rng.sample(pairs, rng.randrange(len(pairs) + 1))]
+        pairs += rng.choices(pairs, k=rng.randrange(3))
+    if shape != "ordered":
+        rng.shuffle(pairs)
+    lines = [f"e {u} {v}" for u, v in pairs]
+
+    def some(chance):
+        return lines and rng.random() < chance
+
+    if some(0.3):
+        for _ in range(rng.randrange(1, 4)):
+            filler = rng.choice(("c x", "", "  ", "\tc"))
+            lines.insert(rng.randrange(len(lines) + 1), filler)
+    if some(0.3):
+        i = rng.randrange(len(lines))
+        pad = rng.choice((" ", "\t", " \t"))
+        line = lines[i]
+        lines[i] = rng.choice((pad + line, line + pad, line.replace(" ", pad)))
+    if some(0.2):
+        i = rng.randrange(len(lines))
+        lines[i] += rng.choice(_OTHER_BREAKS) + rng.choice(("", "c odd", lines[i]))
+    if some(0.2):
+        i = rng.randrange(len(lines))
+        # e 1\x0b2 has three fields, but is two lines to splitlines()
+        head, _, tail = lines[i].rpartition(" ")
+        lines[i] = f"{head}{rng.choice(_OTHER_BREAKS)}{tail}"
+    if some(0.2):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split()
+        if len(fields) == 3 and fields[0] == "e":
+            j = rng.randrange(1, 3)
+            fields[j] = _respell(rng, int(fields[j]))
+            lines[i] = " ".join(fields)
+    if some(0.3):
+        i = rng.randrange(len(lines))
+        u = rng.randrange(1, n + 1)
+        lines[i] = rng.choice((
+            f"e {u} {n + 1}", f"e 0 {u}", f"e -{u} {u}", f"e {u} {u}",
+            f"e {u} x", f"e {u} 1.5", f"e 0x1 {u}", f"e {u} 1e3",
+            f"e {u}", f"e {u} {u} {u}", f"e{u} {u} 1", f"ex {u} 1", "x 1 2",
+            f"p edge {n} {m}",
+        ))
+    if some(0.1) and len(lines) > 1:
+        # three fields on every line and every third field e, but the
+        # first line has four fields and the second one has two
+        i = rng.randrange(len(lines) - 1)
+        lines[i] += " e"
+        lines[i + 1] = " ".join(lines[i + 1].split()[1:])
+    declared = rng.choice((m, len(pairs)))
+    header = rng.choice(([], ["c header"], ["c a", ""]))
+    eol = rng.choice(("\n", "\n", "\r\n"))
+    text = eol.join(header + [f"p edge {n} {declared}"] + lines)
+    return text if rng.random() < 0.2 else text + eol
+
+
+def test_parse_equals_per_line_reference(monkeypatch):
+    # the same Graph, warnings, and error message and line as the plain
+    # per-line parse, at the real block size and at small ones
+    rng = random.Random(1414)
+    texts = []
+    for _ in range(100):
+        n = rng.randrange(2, 40)
+        texts.append(_differential_text(rng, n, rng.randrange(n * (n - 1) // 2 + 1)))
+    for _ in range(4):
+        # past one real block of edge lines
+        texts.append(_differential_text(rng, 400, 3000))
+    texts += ["p edge 3 1\re 1 2\n", "p edge 2 1\ne 1 2"]
+    texts += ["p edge 4 2\ne 1 2 e\n3 4\n", "p edge 4 2\ne1 2 3\ne 3 4\n",
+              "p edge 4 2\nex 1 2\ne 3 4\n"]
+    texts += [f"p edge 3 1\ne 1{brk}2\ne 2 3\n" for brk in _OTHER_BREAKS]
+    for block in (dimacs._BLOCK_CHARS, 64, 7):
+        monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+        for text in texts:
+            assert _outcome(parse_dimacs, text) == _outcome(_reference_parse, text), (
+                block, text)
+
+
+@pytest.mark.parametrize("block", [20, 64, 200])
+@pytest.mark.parametrize("kind", ["repeat", "reverse"])
+def test_order_check_spans_block_boundaries(monkeypatch, block, kind):
+    # ordered text but for one line, just after a block boundary, that
+    # repeats or reverses the line before it: a block that starts there
+    # is in order on its own, but not after the block before it
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+    g = gen_gnm(60, 300, seed=block)
+    m = g.edge_count
+    text = f"p edge 60 {m + 1}\n" + write_dimacs(g).split("\n", 1)[1]
+    head = text.index("\n") + 1
+    cut = text.find("\n", head + block - 1) + 1
+    _, u, v = text[text.rindex("\n", 0, cut - 1) + 1:cut].split()
+    extra = f"e {u} {v}\n" if kind == "repeat" else f"e {v} {u}\n"
+    text = text[:cut] + extra + text[cut:]
+    assert any(b.startswith(extra) for b in dimacs._blocks(text, head))
+    with pytest.warns(
+        DimacsFormatWarning, match=f"declares {m + 1} edges, found {m} distinct"
+    ):
+        assert parse_dimacs(text) == g
