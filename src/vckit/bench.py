@@ -65,12 +65,7 @@ class BenchConfig:
             raise ValueError(
                 f"extra_edge_ratio must be finite and >= 0, got {self.extra_edge_ratio}"
             )
-        largest_n = max(self.n_values)
-        if not math.isfinite(self.extra_edge_ratio * largest_n):
-            raise ValueError(
-                f"extra_edge_ratio {self.extra_edge_ratio} times n={largest_n} "
-                "is not a finite edge count"
-            )
+        _check_edge_ratio(self.extra_edge_ratio, max(self.n_values), "extra_edge_ratio")
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
         for name in self.strategies:
@@ -78,6 +73,13 @@ class BenchConfig:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         _check_time_limit(self.time_limit, "time_limit")
+
+
+def _check_edge_ratio(ratio: float, n: int, name: str) -> int:
+    """round(ratio * n), the extra edge count, checked to be finite."""
+    if not math.isfinite(ratio * n):
+        raise ValueError(f"{name} {ratio} times n={n} is not a finite edge count")
+    return round(ratio * n)
 
 
 def _check_time_limit(seconds: Optional[float], name: str) -> Optional[float]:
@@ -123,7 +125,7 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     strategies = tuple(map(Strategy, config.strategies))
     records: list[BenchRecord] = []
     for n in config.n_values:
-        extra_edges = round(config.extra_edge_ratio * n)
+        extra_edges = _check_edge_ratio(config.extra_edge_ratio, n, "extra_edge_ratio")
         for k in config.k_values:
             for seed in config.seeds:
                 try:

@@ -18,6 +18,7 @@ from dataclasses import asdict
 
 from .bench import (
     BenchConfig,
+    _check_edge_ratio,
     _check_time_limit,
     _parse_config_value,
     estimate_branching_factor,
@@ -135,11 +136,7 @@ def _cmd_gen(args) -> int:
         ratio = 0.5 if args.extra_edge_ratio is None else args.extra_edge_ratio
         if not math.isfinite(ratio):
             raise ValueError(f"--extra-edge-ratio must be finite, got {ratio}")
-        if not math.isfinite(ratio * args.n):
-            raise ValueError(
-                f"--extra-edge-ratio {ratio} times n={args.n} is not a finite edge count"
-            )
-        extra = round(ratio * args.n)
+        extra = _check_edge_ratio(ratio, args.n, "--extra-edge-ratio")
     instance = gen_planted(args.n, args.k, extra, args.seed)
     comments = (
         f"planted instance: n={args.n} k={args.k} extra_edges={extra} seed={args.seed}",

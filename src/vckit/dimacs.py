@@ -88,7 +88,9 @@ def _lines(text: str) -> Iterator[str]:
     A ``\n`` always ends a line and is the last character of ``\r\n``,
     so the lines, and so their numbers, are exactly those of
     ``splitlines()`` over the whole text; a text with no ``\n`` at all
-    is one block.
+    is one block.  parse_dimacs splits each of its blocks itself; this
+    is kept as the statement of why counting lines block by block gives
+    the right line numbers, which tests check against ``splitlines()``.
     """
     for block in _blocks(text):
         yield from block.splitlines()
@@ -96,23 +98,22 @@ def _lines(text: str) -> Iterator[str]:
 
 class _Parse:
     """One parse in progress: the problem line's counts, the neighbor
-    lists, the lines read so far, and whether every edge line so far
-    came in order, with the last such line's ids."""
+    lists, the lines read so far and, while every edge line so far came
+    in order, the last one's ids (None once one did not)."""
 
-    __slots__ = ("n", "declared_m", "adj", "lineno", "ordered", "last")
+    __slots__ = ("n", "declared_m", "adj", "lineno", "last")
 
     def __init__(self) -> None:
         self.n: int | None = None
         self.declared_m = 0
         self.adj: list[list[int]] = []
         self.lineno = 0
-        self.ordered = True
-        self.last = (-1, -1)
+        self.last: tuple[int, int] | None = (-1, -1)
 
     def read_lines(self, lines: Iterable[str]) -> None:
         """Read each line by the per-line rule, the only one that raises
-        DimacsError on a line.  An edge line read here marks the parse
-        as not ordered."""
+        DimacsError on a line.  It does not check the order of edge
+        lines, so an edge line read here marks the parse as unordered."""
         n = self.n
         adj = self.adj
         lineno = self.lineno
@@ -142,8 +143,7 @@ class _Parse:
                     raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
                 adj[u - 1].append(v - 1)
                 adj[v - 1].append(u - 1)
-                # This rule does not check that edge lines come in order.
-                self.ordered = False
+                self.last = None
             elif tag[0] == "c":
                 continue
             elif tag == "p":
@@ -203,26 +203,19 @@ class _Parse:
         except ValueError:
             return False
         del fields  # before the neighbor lists grow
-        forward = all(map(lt, us, vs))
-        if forward:
-            # No line is a self-loop, and the least u and the greatest v
-            # bound every id.
-            low, high = min(us), max(vs)
-        elif any(map(eq, us, vs)):
+        low, high = min(min(us), min(vs)), max(max(us), max(vs))
+        if low < 0 or high >= self.n or any(map(eq, us, vs)):
             return False
-        else:
-            low, high = min(min(us), min(vs)), max(max(us), max(vs))
-        if low < 0 or high >= self.n:
-            return False
-        if self.ordered:
-            # Each line is (u, v) with u < v, each pair above the one
-            # before it, the last line of the block before included.
-            self.ordered = (
-                forward
-                and self.last < (us[0], vs[0])
+        last = self.last
+        if last is not None:
+            # In order: each line is (u, v) with u < v, and each pair is
+            # above the one before it, the last of the block before too.
+            in_order = (
+                last < (us[0], vs[0])
+                and all(map(lt, us, vs))
                 and all(map(lt, zip(us, vs), zip(us[1:], vs[1:])))
             )
-            self.last = (us[-1], vs[-1])
+            self.last = (us[-1], vs[-1]) if in_order else None
         adj = self.adj
         for u, v in zip(us, vs):
             adj[u].append(v)
@@ -265,10 +258,10 @@ def parse_dimacs(data: str | bytes) -> Graph:
         start = end
     for block in _blocks(data, start):
         if not parse.read_block(block):
-            parse.read_lines(_lines(block))
+            parse.read_lines(block.splitlines())
 
     # Graph collapses duplicate and reversed lines and counts what is left.
-    g = Graph._from_neighbor_lists(parse.adj, parse.ordered)
+    g = Graph._from_neighbor_lists(parse.adj, parse.last is not None)
     if parse.declared_m != g.edge_count:
         warnings.warn(
             f"problem line declares {parse.declared_m} edges, "

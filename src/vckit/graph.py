@@ -54,7 +54,7 @@ class Graph:
         self._seal(adj)
 
     @classmethod
-    def _from_neighbor_lists(cls, adj: list[list[int]], ordered: bool = False) -> Graph:
+    def _from_neighbor_lists(cls, adj: list[list[int]], ordered: bool) -> Graph:
         """The Graph on vertices 0..len(adj)-1 whose neighbor lists are adj.
 
         For the package's own parser, which has already checked what

@@ -444,3 +444,37 @@ def test_order_check_spans_block_boundaries(monkeypatch, block, kind):
         DimacsFormatWarning, match=f"declares {m + 1} edges, found {m} distinct"
     ):
         assert parse_dimacs(text) == g
+
+
+def test_only_ordered_input_skips_the_sort(monkeypatch):
+    # the sort-free seal is taken for lines as write_dimacs writes them,
+    # in any number of blocks, and for nothing else
+    seen = []
+    seal = Graph._from_neighbor_lists.__func__
+
+    def spy(cls, adj, ordered):
+        seen.append(ordered)
+        return seal(cls, adj, ordered)
+
+    monkeypatch.setattr(Graph, "_from_neighbor_lists", classmethod(spy))
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", 64)
+    g = gen_gnm(60, 300, seed=3)
+    text = write_dimacs(g)
+    head, body = text.split("\n", 1)
+    lines = body.splitlines()
+    texts = {
+        True: [text, "c header\n" + text, text.replace("\n", "\r\n")],
+        False: [
+            head + "\n" + "\n".join(lines[1:] + lines[:1]) + "\n",
+            head + "\n" + "\n".join(lines[:100] + lines[99:]) + "\n",
+            head + "\n" + "\n".join(f"e {v} {u}" for _, u, v in map(str.split, lines)),
+            head + "\n" + "\n".join(lines[:100] + ["c mid"] + lines[100:]) + "\n",
+        ],
+    }
+    for ordered, cases in texts.items():
+        for case in cases:
+            seen.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DimacsFormatWarning)
+                assert parse_dimacs(case) == g
+            assert seen == [ordered], case
