@@ -1,10 +1,12 @@
 """Command-line interface: decide, solve, gen, verify, bench.
 
-Graphs come in as DIMACS edge-format files ('-' for stdin).  Vertex
-ids in program output are 0-based; only the 1-based ``e`` lines inside
-DIMACS files follow the format's own convention.  Exit codes: 0 for
-success (decide: true, verify: valid), 1 for a negative answer
-(decide: false, verify: invalid), 2 for usage or input errors.
+Graphs come in as DIMACS edge-format files ('-' for stdin), read a
+block at a time, so a command never holds a graph file's whole text;
+cover files are read whole.  Vertex ids in program output are 0-based;
+only the 1-based ``e`` lines inside DIMACS files follow the format's
+own convention.  Exit codes: 0 for success (decide: true, verify:
+valid), 1 for a negative answer (decide: false, verify: invalid), 2 for
+usage or input errors.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .bench import (
     run_benchmark,
     write_report,
 )
-from .dimacs import parse_dimacs, write_dimacs
+from .dimacs import read_dimacs_file, write_dimacs
 from .generate import gen_planted
+from .graph import Graph
 from .oracle import verify_cover
 from .solver import (
     SolveStats,
@@ -54,6 +57,12 @@ _BENCH_FLAGS = (
     ("--repetitions", "repetitions", "solves per cell; the median time is kept"),
     ("--time-limit", "time_limit", "per-solve time limit in seconds, or none"),
 )
+
+
+def _read_graph(path: str) -> Graph:
+    """The graph in the DIMACS file at path, or on stdin for '-', read a
+    block at a time."""
+    return read_dimacs_file(sys.stdin if path == "-" else path)
 
 
 def _read_text(path: str) -> str:
@@ -90,7 +99,7 @@ def _print_stats_text(stats: SolveStats) -> None:
 
 def _cmd_decide(args) -> int:
     time_limit = _check_time_limit(args.time_limit, "--time-limit")
-    g = parse_dimacs(_read_text(args.graph))
+    g = _read_graph(args.graph)
     result = decide_vc(g, args.k, args.strategy, time_limit=time_limit)
     if args.json:
         payload = {
@@ -111,7 +120,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_solve(args) -> int:
     time_limit = _check_time_limit(args.time_limit, "--time-limit")
-    g = parse_dimacs(_read_text(args.graph))
+    g = _read_graph(args.graph)
     size, cover, stats = min_vertex_cover(g, args.strategy, time_limit=time_limit)
     if args.json:
         payload = {
@@ -155,7 +164,7 @@ def _cmd_verify(args) -> int:
     if args.graph == "-" and args.cover == "-":
         # The graph would read all of stdin and leave the cover empty.
         raise ValueError("the graph and the cover cannot both be read from stdin")
-    g = parse_dimacs(_read_text(args.graph))
+    g = _read_graph(args.graph)
     cover = _read_cover(args.cover)
     valid = verify_cover(g, cover)
     if args.json:

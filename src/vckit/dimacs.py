@@ -15,11 +15,15 @@ most MAX_VERTICES vertices; a larger n is rejected at that line, before
 anything is allocated for it, since the parse allocates one neighbor
 list per declared vertex there.
 
-A parse holds the text, one block of it (about 16 KiB, cut just after
-a ``\n``) split into either its lines or, for a block of plain edge
+A parse holds one block of text (about 16 KiB, cut just after a
+``\n``) split into either its lines or, for a block of plain edge
 lines, its fields and ids, and the graph being built: each edge line
 goes straight into its endpoints' neighbor lists, so there is never a
-list of all lines or of all edges.
+list of all lines or of all edges.  Every neighbor entry of a vertex is
+the one int object that a table, grown to the largest id read so far,
+holds for it.  read_dimacs_file reads its file or stream a block at a
+time, so it never holds the whole text; parse_dimacs is given its text
+whole.
 
 Canonical output is the problem line with the exact distinct edge
 count followed by the edges sorted ascending, so parse(write(g)) == g.
@@ -28,25 +32,26 @@ count followed by the edges sorted ascending, so parse(write(g)) == g.
 from __future__ import annotations
 
 import warnings
-from itertools import repeat
-from operator import eq, lt, sub
-from typing import Iterable, Iterator
+from operator import eq, lt
+from typing import IO, Iterable, Iterator
 
 from .graph import Graph
 
 
 # The largest vertex count a problem line may declare.  Parsing a header
-# with no edges peaks at about 65 bytes per declared vertex (an empty
-# neighbor list each), so this keeps what a header alone can make it
+# with no edges peaks at about 64 bytes per declared vertex (an empty
+# neighbor list each; the table of vertex ids grows only with the ids
+# that edge lines name), so this keeps what a header alone can make it
 # allocate under 1 GB, 500 times above the largest benchmarked graph
 # (20000 vertices).
 MAX_VERTICES = 10_000_000
 
-# About how many characters of text are split at a time.  A block read
-# in bulk peaks at about 15 times its own size in fields and ids, on top
+# About how many characters of text are split at a time, and how many
+# read_dimacs_file reads from its stream at a time.  A block read in
+# bulk peaks at about 15 times its own size in fields and ids, on top
 # of the graph being built: at 16 KiB a parse of an 8000-vertex graph
-# peaks at 1.44 times the graph it returns, at 64 KiB at 1.98 times.
-# Parse time hardly changes between 4 and 64 KiB blocks.
+# peaks at 1.74 times the graph it returns.  Parse time hardly changes
+# between 4 and 64 KiB blocks.
 _BLOCK_CHARS = 1 << 14
 
 # Line breaks of str.splitlines() that a block taken in bulk may not
@@ -69,44 +74,59 @@ class DimacsFormatWarning(UserWarning):
     """Recoverable oddity in DIMACS input, e.g. a wrong declared edge count."""
 
 
-def _blocks(text: str, start: int = 0) -> Iterator[str]:
-    r"""Cut ``text[start:]`` into blocks that end just after a ``\n``.
+def _blocks(text: str) -> Iterator[str]:
+    r"""Cut ``text`` into blocks that end just after a ``\n``.
 
     A block runs to the first ``\n`` at or past _BLOCK_CHARS characters,
     or to the end of the text.
     """
-    size = len(text)
+    start, size = 0, len(text)
     while start < size:
         end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or size
         yield text[start:end]
         start = end
 
 
-def _lines(text: str) -> Iterator[str]:
-    r"""Yield the lines of ``text.splitlines()``, splitting one block at a time.
+def _stream_blocks(stream: IO[str]) -> Iterator[str]:
+    r"""Read ``stream`` _BLOCK_CHARS characters at a time, as blocks
+    that end just after a ``\n``, or at the end of the stream.
 
-    A ``\n`` always ends a line and is the last character of ``\r\n``,
-    so the lines, and so their numbers, are exactly those of
-    ``splitlines()`` over the whole text; a text with no ``\n`` at all
-    is one block.  parse_dimacs splits each of its blocks itself; this
-    is kept as the statement of why counting lines block by block gives
-    the right line numbers, which tests check against ``splitlines()``.
+    Each read is cut after its last ``\n``; what follows waits for the
+    next read.  Reads with no ``\n`` are collected and joined once, so
+    a long line costs time linear in its length.
     """
-    for block in _blocks(text):
-        yield from block.splitlines()
+    pending: list[str] = []
+    while chunk := stream.read(_BLOCK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    tail = "".join(pending)
+    if tail:
+        yield tail
 
 
 class _Parse:
     """One parse in progress: the problem line's counts, the neighbor
-    lists, the lines read so far and, while every edge line so far came
-    in order, the last one's ids (None once one did not)."""
+    lists, the table of vertex ids, the lines read so far and, while
+    every edge line so far came in order, the last one's ids (None once
+    one did not).
 
-    __slots__ = ("n", "declared_m", "adj", "lineno", "last")
+    ``ids[x]`` is vertex x - 1, for each 1-based id x up to the largest
+    one read so far, so that every neighbor entry of a vertex is one
+    shared int object, not a fresh one per edge line.
+    """
+
+    __slots__ = ("n", "declared_m", "adj", "ids", "lineno", "last")
 
     def __init__(self) -> None:
         self.n: int | None = None
         self.declared_m = 0
         self.adj: list[list[int]] = []
+        self.ids: list[int] = []
         self.lineno = 0
         self.last: tuple[int, int] | None = (-1, -1)
 
@@ -116,6 +136,7 @@ class _Parse:
         lines, so an edge line read here marks the parse as unordered."""
         n = self.n
         adj = self.adj
+        ids = self.ids
         lineno = self.lineno
         for lineno, raw in enumerate(lines, start=lineno + 1):
             fields = raw.split()
@@ -141,8 +162,11 @@ class _Parse:
                     )
                 if u == v:
                     raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
-                adj[u - 1].append(v - 1)
-                adj[v - 1].append(u - 1)
+                high = max(u, v)
+                if high >= len(ids):
+                    ids.extend(range(len(ids) - 1, high))
+                adj[u - 1].append(ids[v])
+                adj[v - 1].append(ids[u])
                 self.last = None
             elif tag[0] == "c":
                 continue
@@ -198,14 +222,20 @@ class _Parse:
             return False
         try:
             # int() takes no letter in base 10, so the ids hold no "e".
-            us = list(map(sub, map(int, fields[1::3]), repeat(1)))
-            vs = list(map(sub, map(int, fields[2::3]), repeat(1)))
+            us = list(map(int, fields[1::3]))
+            vs = list(map(int, fields[2::3]))
         except ValueError:
             return False
         del fields  # before the neighbor lists grow
+        # Checked before any indexing: a negative index would wrap.
         low, high = min(min(us), min(vs)), max(max(us), max(vs))
-        if low < 0 or high >= self.n or any(map(eq, us, vs)):
+        if low < 1 or high > self.n or any(map(eq, us, vs)):
             return False
+        ids = self.ids
+        if high >= len(ids):
+            ids.extend(range(len(ids) - 1, high))
+        us = list(map(ids.__getitem__, us))
+        vs = list(map(ids.__getitem__, vs))
         last = self.last
         if last is not None:
             # In order: each line is (u, v) with u < v, and each pair is
@@ -224,41 +254,26 @@ class _Parse:
         return True
 
 
-def parse_dimacs(data: str | bytes) -> Graph:
-    """Parse DIMACS edge-format text into a Graph.
-
-    Lines up to and including the problem line are read one at a time.
-    The rest of the text is read a block at a time: a block of plain
-    edge lines in bulk, any other block line by line.  Either way each
-    edge line goes straight into the neighbor lists of its two
-    endpoints, allocated at the problem line.  When every edge line is
-    (u, v) with u < v and each pair is above the one before it, as
-    write_dimacs writes them, every list is already ascending with no
-    repeats, and the Graph only freezes them; otherwise it sorts, dedups
-    and freezes them.  Besides the text, a parse holds only one block's
-    lines, or its fields and ids, and the graph being built.
-
-    Raises DimacsError (with the offending line number) on a missing or
-    duplicate problem line, an edge line before the problem line,
-    unrecognized line types, malformed numbers, a declared vertex count
-    above MAX_VERTICES, out-of-range vertex ids, or self-loops.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-
+def _parse(blocks: Iterable[str]) -> Graph:
+    r"""The Graph of DIMACS text given as blocks that each end just
+    after a ``\n`` (the last one may end without), for parse_dimacs and
+    read_dimacs_file, whose caller any warning names."""
     parse = _Parse()
-    # Up to and including the problem line, one piece of text up to a \n
-    # at a time: one line, unless the piece holds another line break.
-    start = 0
-    while parse.n is None:
-        end = data.find("\n", start) + 1 or len(data)
-        if start == end:
-            raise DimacsError("missing problem line")
-        parse.read_lines(data[start:end].splitlines())
-        start = end
-    for block in _blocks(data, start):
+    for block in blocks:
+        # Up to and including the problem line, one piece of text up to
+        # a \n at a time: one line, unless the piece holds another line
+        # break.
+        start = 0
+        while parse.n is None and start < len(block):
+            end = block.find("\n", start) + 1 or len(block)
+            parse.read_lines(block[start:end].splitlines())
+            start = end
+        if start:
+            block = block[start:]
         if not parse.read_block(block):
             parse.read_lines(block.splitlines())
+    if parse.n is None:
+        raise DimacsError("missing problem line")
 
     # Graph collapses duplicate and reversed lines and counts what is left.
     g = Graph._from_neighbor_lists(parse.adj, parse.last is not None)
@@ -267,9 +282,36 @@ def parse_dimacs(data: str | bytes) -> Graph:
             f"problem line declares {parse.declared_m} edges, "
             f"found {g.edge_count} distinct",
             DimacsFormatWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return g
+
+
+def parse_dimacs(data: str | bytes) -> Graph:
+    """Parse DIMACS edge-format text into a Graph.
+
+    Lines up to and including the problem line are read one at a time.
+    The rest of the text is read a block at a time: a block of plain
+    edge lines in bulk, any other block line by line.  Either way each
+    edge line goes straight into the neighbor lists of its two
+    endpoints, allocated at the problem line, each endpoint as the one
+    int object the parse keeps for its id.  When every edge line is
+    (u, v) with u < v and each pair is above the one before it, as
+    write_dimacs writes them, every list is already ascending with no
+    repeats, and the Graph only freezes them; otherwise it sorts, dedups
+    and freezes them.  Besides the text, a parse holds only one block's
+    lines, or its fields and ids, the table of vertex ids and the graph
+    being built.  To read a file without holding its whole text, use
+    read_dimacs_file.
+
+    Raises DimacsError (with the offending line number) on a missing or
+    duplicate problem line, an edge line before the problem line,
+    unrecognized line types, malformed numbers, a declared vertex count
+    above MAX_VERTICES, out-of-range vertex ids, or self-loops.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8", errors="replace")
+    return _parse(_blocks(data))
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
@@ -289,9 +331,20 @@ def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_dimacs_file(path) -> Graph:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_dimacs(fh.read())
+def read_dimacs_file(source) -> Graph:
+    """Parse the DIMACS file at a path, or an open text stream, into a
+    Graph, reading _BLOCK_CHARS characters at a time.
+
+    A path is opened as UTF-8, with undecodable bytes replaced; a
+    stream (any object with a ``read`` method, such as ``sys.stdin``)
+    is read from where it stands and left open.  The result, warnings
+    and errors are those of parse_dimacs on the same text, but the
+    whole text is never held, only one block of it at a time.
+    """
+    if hasattr(source, "read"):
+        return _parse(_stream_blocks(source))
+    with open(source, "r", encoding="utf-8", errors="replace") as fh:
+        return _parse(_stream_blocks(fh))
 
 
 def write_dimacs_file(g: Graph, path, comments: tuple[str, ...] | list[str] = ()) -> None:

@@ -7,7 +7,7 @@ with the branching search, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable
 
 from .graph import Graph
@@ -23,17 +23,17 @@ def verify_cover(g: Graph, cover: Iterable[int]) -> bool:
     Raises ValueError on a vertex id outside the graph.  The empty set
     is a valid cover of an edgeless graph.
     """
+    n = g.vertex_count
     members = set()
+    outside = bytearray(b"\x01") * n
     for v in cover:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(
-                f"vertex id {v} not in graph with {g.vertex_count} vertices"
-            )
+        if not (0 <= v < n):
+            raise ValueError(f"vertex id {v} not in graph with {n} vertices")
         members.add(v)
-    for u, v in g.edges():
-        if u not in members and v not in members:
-            return False
-    return True
+        outside[v] = 0
+    # An edge is covered iff it has an endpoint in the cover, so iff
+    # every neighbor of every vertex outside the cover is in it.
+    return all(map(members.issuperset, compress(g.sorted_adjacency, outside)))
 
 
 def brute_force_tau(g: Graph) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 import sys
 import tracemalloc
@@ -197,20 +198,6 @@ def test_parse_any_line_order_equals_graph_of_distinct_edges(monkeypatch):
             assert g.edge_count == m
 
 
-@pytest.mark.parametrize("block", [1, 3, 7])
-def test_block_lines_equal_splitlines(monkeypatch, block):
-    # a block ends just after a \n, so no line, not even \r\n, is cut
-    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
-    rng = random.Random(block)
-    pieces = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
-              "\n\n", "e 1 2", "c x", "p", "  ")
-    texts = ["", "\n", "\r\n\r\n", "\r only\rendings\r", "unterminated", "a\nb"]
-    for _ in range(300):
-        texts.append("".join(rng.choice(pieces) for _ in range(rng.randrange(40))))
-    for text in texts:
-        assert list(dimacs._lines(text)) == text.splitlines(), repr(text)
-
-
 def test_error_line_number_in_a_later_block(monkeypatch):
     # at 7 characters a block: lines 1-2, then 3-4, then 5-6
     monkeypatch.setattr(dimacs, "_BLOCK_CHARS", 7)
@@ -244,6 +231,61 @@ def test_parse_peak_within_twice_the_graph():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * _graph_bytes(g), (peak, _graph_bytes(g))
+
+
+def test_header_alone_allocates_no_vertex_ids():
+    # the table of vertex ids grows with the ids edge lines name, not at
+    # the problem line, so a header alone costs an empty list per vertex
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    n = 50_000
+    tracemalloc.start()
+    try:
+        g = parse_dimacs(f"p edge {n} 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == n
+    assert peak <= 70 * n, peak / n
+
+
+def test_read_file_never_holds_the_text(tmp_path):
+    # read a block at a time, a file peaks below the parse of its whole
+    # text by about the size of that text, less the stream's own buffers
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    path = tmp_path / "g.col"
+    write_dimacs_file(gen_planted(8000, 20, 20000, 7).graph, path)
+    size = path.stat().st_size
+    peaks = []
+    for read in (read_dimacs_file, lambda p: parse_dimacs(p.read_text())):
+        tracemalloc.start()
+        try:
+            read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] >= 0.75 * size, (peaks, size)
+
+
+@pytest.mark.parametrize("shape", ["ordered", "shuffled", "comments"])
+def test_one_int_object_per_vertex(shape):
+    # every neighbor entry of a vertex is the same int object, from the
+    # bulk path (ordered or not) and from the per-line rule alike
+    n = 1000
+    text = write_dimacs(gen_gnm(n, 4 * n, seed=9))
+    head, body = text.split("\n", 1)
+    lines = body.splitlines()
+    if shape != "ordered":
+        random.Random(9).shuffle(lines)
+    if shape == "comments":
+        lines[::50] = [f"c {line}" for line in lines[::50]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DimacsFormatWarning)
+        g = parse_dimacs(head + "\n" + "\n".join(lines) + "\n")
+    entries = [v for a in g.sorted_adjacency for v in a]
+    assert len(entries) > 2 * n
+    assert len({id(v) for v in entries}) <= n
 
 
 def _reference_parse(text: str) -> Graph:
@@ -313,14 +355,15 @@ def _reference_parse(text: str) -> Graph:
 
 def _outcome(parse, text: str):
     """What parse makes of text: its Graph, or its DimacsError's message
-    and line; and the category and text of each warning it gives."""
+    and line; and the category, text and reported file of each warning
+    it gives."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = parse(text)
         except DimacsError as exc:
             result = (str(exc), exc.line)
-    return result, [(w.category, str(w.message)) for w in caught]
+    return result, [(w.category, str(w.message), w.filename) for w in caught]
 
 
 # The line breaks of str.splitlines() besides \n and \r\n.
@@ -434,12 +477,12 @@ def test_order_check_spans_block_boundaries(monkeypatch, block, kind):
     g = gen_gnm(60, 300, seed=block)
     m = g.edge_count
     text = f"p edge 60 {m + 1}\n" + write_dimacs(g).split("\n", 1)[1]
-    head = text.index("\n") + 1
-    cut = text.find("\n", head + block - 1) + 1
+    cut = text.find("\n", block - 1) + 1
+    assert cut > text.index("\n") + 1  # an edge line ends the first block
     _, u, v = text[text.rindex("\n", 0, cut - 1) + 1:cut].split()
     extra = f"e {u} {v}\n" if kind == "repeat" else f"e {v} {u}\n"
     text = text[:cut] + extra + text[cut:]
-    assert any(b.startswith(extra) for b in dimacs._blocks(text, head))
+    assert any(b.startswith(extra) for b in dimacs._blocks(text))
     with pytest.warns(
         DimacsFormatWarning, match=f"declares {m + 1} edges, found {m} distinct"
     ):
@@ -478,3 +521,36 @@ def test_only_ordered_input_skips_the_sort(monkeypatch):
                 warnings.simplefilter("ignore", DimacsFormatWarning)
                 assert parse_dimacs(case) == g
             assert seen == [ordered], case
+
+
+def test_read_file_equals_parse_of_its_text(monkeypatch, tmp_path):
+    # the same Graph, warnings (and the file they name), and error
+    # message and line from a path or an open stream, read a few
+    # characters at a time, as from parse_dimacs on the whole text
+    rng = random.Random(1732)
+    texts = []
+    for _ in range(20):
+        n = rng.randrange(2, 40)
+        texts.append(_differential_text(rng, n, rng.randrange(n * (n - 1) // 2 + 1)))
+    g = gen_gnm(40, 120, seed=4)
+    written = write_dimacs(g)
+    texts += [
+        "c a comment longer than a block\n" * 3 + written,  # problem line later
+        written.rstrip("\n"),  # no final newline
+        written.replace("\n", "\x0b"),  # no \n at all, past many reads
+        "p edge 3 1",
+        written.replace("\n", "\r\n"),
+        "c x\r\n" + written.replace("\n", "\r\n")[:-2],
+        "c x\rp edge 3 2\re 1 2\ne 2 2\n",
+        "c no problem line\n",
+        "",
+    ]
+    path = tmp_path / "g.col"
+    for block in (64, 7):
+        monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+        for text in texts:
+            path.write_text(text, encoding="utf-8", newline="")
+            expected = _outcome(parse_dimacs, text)
+            assert _outcome(read_dimacs_file, path) == expected, (block, text)
+            assert _outcome(read_dimacs_file, io.StringIO(text)) == expected, (
+                block, text)
