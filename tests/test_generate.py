@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -130,3 +131,45 @@ def test_generators_refuse_more_vertices_than_the_parser_accepts(monkeypatch):
 def test_gnm_empty_cases():
     assert gen_gnm(0, 0, seed=3).vertex_count == 0
     assert gen_gnm(5, 0, seed=3).edge_count == 0
+
+
+# SHA-256 of write_dimacs(graph, ["cover <ids>"]) for planted instances,
+# and of write_dimacs(graph) for G(n, m) graphs.  A change to the draw
+# order, the rejection rule or the writer changes these bytes.
+_PLANTED_DIGESTS = {
+    # the solve_probes shapes
+    (1000, 6, 500, 1): "60dc2cc863c1af923752ef8fef2764191788b12c6076ea3f5f3b984d00ff9022",
+    (1000, 6, 500, 2): "9146cc1a9add7e6a7528e3fa67705f1b2240bdd40cc77fc79d10ff5050fb3aea",
+    (200, 8, 100, 3): "638bbfe7761be2dcd405d003236652204170c4c03b5c23c3d4fa9423f6ae3338",
+    # the large_easy shape
+    (20000, 20, 50000, 1): "615dfcffd5623e1541c9def74b97052e3e1652b6213d1b467661899b75710df8",
+    # the golden-tree shape
+    (200, 6, 100, 1): "c4847bcc9d3cb5eb8cf3fa671745453408f3cbc2c34fe5c522122509bc7ad45f",
+    # saturated extra edges, then k = 1 saturated and not
+    (6, 2, 7, 0): "ed12f71d1aa7665a0d38eae77f522c2750fe6126b0a59cd9927b69b257629b78",
+    (10, 1, 8, 5): "f47d45516ad98ac507265cb3f0a7b367386205185306fd3f2151ab32b90edd53",
+    (50, 1, 20, 9): "2f6ef4ea7f348afe504cd7606bb891f68aa7d30a0eb18cb6ade6e264d280bb8a",
+}
+_GNM_DIGESTS = {
+    (100, 300, 4): "1087d8dcf10fceb112c0886b9feb3d46837e4f62f607831b48542d0070a4d05c",
+    # m above half of the 435 pairs: the complement is sampled
+    (30, 400, 5): "31d7c1ed18f7d939751d7486d900d874ecb1116708b3828794d9f1a7e074d550",
+    (0, 0, 6): "b18efc2666c663cba2fb1c2b37a5a0c8c18a8489374194e7415afccd6fe2d355",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("params", sorted(_PLANTED_DIGESTS))
+def test_planted_output_pinned(params):
+    inst = gen_planted(*params)
+    cover = " ".join(map(str, sorted(inst.planted_cover)))
+    text = dimacs.write_dimacs(inst.graph, [f"cover {cover}"])
+    assert _sha256(text) == _PLANTED_DIGESTS[params]
+
+
+@pytest.mark.parametrize("params", sorted(_GNM_DIGESTS))
+def test_gnm_output_pinned(params):
+    assert _sha256(dimacs.write_dimacs(gen_gnm(*params))) == _GNM_DIGESTS[params]
