@@ -32,6 +32,7 @@ count followed by the edges sorted ascending, so parse(write(g)) == g.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from operator import eq, lt
 from typing import IO, Iterable, Iterator
 
@@ -326,8 +327,12 @@ def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
         for part in str(comment).splitlines() or [""]:
             lines.append(f"c {part}".rstrip())
     lines.append(f"p edge {g.vertex_count} {g.edge_count}")
-    for u, v in g.edges():
-        lines.append(f"e {u + 1} {v + 1}")
+    # Graph.edges, with each vertex's "e u " head built once.
+    for u, a in enumerate(g.sorted_adjacency):
+        if a and a[-1] > u:
+            head = f"e {u + 1} "
+            for v in a[bisect_right(a, u):]:
+                lines.append(head + str(v + 1))
     return "\n".join(lines) + "\n"
 
 

@@ -1,15 +1,21 @@
 """Deterministic random instance generators.
 
 Both generators draw from ``random.Random(seed)`` (the Mersenne
-Twister) using only ``randrange``, in a documented order, so any
-(parameters, seed) pair reproduces the same graph on any platform or
-interpreter version.
+Twister) in a documented order, and only through one rule: a draw
+below b takes ``r = rng.getrandbits(b.bit_length())`` until r < b.
+That is the rule ``rng.randrange(b)`` follows on CPython (its
+``_randbelow_with_getrandbits``), written out so that the draw costs one
+C call, and it fixes the graph of any (parameters, seed) pair on any
+platform.  The tests pin the SHA-256 of the written output of several
+instances, which guards the rule, the draw order and the writer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import filterfalse
+from typing import Callable
 
 from . import dimacs
 from .graph import Graph, GraphError
@@ -48,8 +54,9 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
 
     1. The cover is C = {0..k-1}.  A perfect matching (i, k+i) for i in
        range(k) is planted, one edge per cover vertex.
-    2. For each of the extra_edges additional edges, repeatedly draw
-       ``c = rng.randrange(k)`` then ``o = rng.randrange(n)`` and accept
+    2. For each of the extra_edges additional edges, repeatedly draw c
+       below k then o below n, each by the module's rule (the draws of
+       ``rng.randrange(k)`` and ``rng.randrange(n)``), and accept
        unless o == c or the edge {c, o} already exists.
 
     The matching pins tau(G) >= k (its k edges are vertex-disjoint, each
@@ -76,23 +83,10 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
             f"cover-incident edges available for n={n}, k={k}"
         )
 
-    rng = random.Random(seed)
-    edge_set = {(i, k + i) for i in range(k)}
-    for _ in range(extra_edges):
-        while True:
-            c = rng.randrange(k)
-            o = rng.randrange(n)
-            if o == c:
-                continue
-            edge = (c, o) if c < o else (o, c)
-            if edge in edge_set:
-                continue
-            edge_set.add(edge)
-            break
-
-    graph = Graph(n, edge_set)
+    matching = [(i, k + i) for i in range(k)]
+    adj = _draw_edges(random.Random(seed).getrandbits, n, k, matching, k + extra_edges)
     return PlantedInstance(
-        graph=graph,
+        graph=Graph._from_neighbor_lists(adj, True),
         planted_k=k,
         planted_cover=frozenset(range(k)),
         seed=seed,
@@ -102,11 +96,12 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
 def gen_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform random simple graph with n vertices and exactly m edges.
 
-    Edges are rejection-sampled: draw ``u = rng.randrange(n)`` then
-    ``v = rng.randrange(n)``, rejecting self-pairs and repeats.  When m
-    is more than half the possible edges the complement is sampled with
-    the same protocol instead, keeping the draw count small; the result
-    is still a uniform m-subset of all edges.
+    Edges are rejection-sampled: draw u below n then v below n, each by
+    the module's rule (the draws of ``rng.randrange(n)``), rejecting
+    self-pairs and repeats.  When m is more than half the possible edges
+    the complement is sampled with the same protocol instead, keeping
+    the draw count small; the result is still a uniform m-subset of all
+    edges.
     """
     _check_n_and_seed(n, seed)
     if n < 0:
@@ -117,26 +112,62 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     if m > total:
         raise GraphError(f"m={m} exceeds the {total} possible edges on {n} vertices")
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     if m <= total // 2:
-        edges = _sample_pairs(rng, n, m)
+        adj = _draw_edges(getrandbits, n, n, [], m)
     else:
-        excluded = _sample_pairs(rng, n, total - m)
-        edges = {
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in excluded
-        }
-    return Graph(n, edges)
+        # A vertex's neighbors are the other vertices it was not paired
+        # with, listed in ascending order.
+        excluded = _draw_edges(getrandbits, n, n, [], total - m)
+        everyone = range(n)
+        adj = [
+            list(filterfalse({u, *a}.__contains__, everyone))
+            for u, a in enumerate(excluded)
+        ]
+    return Graph._from_neighbor_lists(adj, True)
 
 
-def _sample_pairs(rng: random.Random, n: int, count: int) -> set[tuple[int, int]]:
-    pairs: set[tuple[int, int]] = set()
-    while len(pairs) < count:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
+def _draw_edges(
+    getrandbits: Callable[[int], int],
+    n: int,
+    low: int,
+    given: list[tuple[int, int]],
+    count: int,
+) -> list[list[int]]:
+    """The ascending neighbor lists of count distinct edges on n vertices.
+
+    They are the given edges (u, v), u < v, then edges drawn in turn, u
+    below low then v below n, each by the module's rule, rejecting a
+    draw with u == v or an edge already taken.  Each edge goes into both
+    endpoints' lists as it is taken, and into a set as the key
+    min * n + max.
+    """
+    low_bits = low.bit_length()
+    n_bits = n.bit_length()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen = set()
+    for u, v in given:
+        adj[u].append(v)
+        adj[v].append(u)
+        seen.add(u * n + v)
+    while len(seen) < count:
+        u = getrandbits(low_bits)
+        while u >= low:
+            u = getrandbits(low_bits)
+        v = getrandbits(n_bits)
+        while v >= n:
+            v = getrandbits(n_bits)
+        if u < v:
+            key = u * n + v
+        elif v < u:
+            key = v * n + u
+        else:
             continue
-        pairs.add((u, v) if u < v else (v, u))
-    return pairs
+        if key not in seen:
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
+    for a in adj:
+        if len(a) > 1:
+            a.sort()
+    return adj

@@ -3,14 +3,15 @@
 Adjacency is kept once, as a tuple of neighbor ids in ascending order
 per vertex: iteration is deterministic, and membership is a binary
 search.  Every way in checks its input: the public constructor checks
-each edge, and the package's DIMACS parser checks each edge line before
-it hands its neighbor lists over.  So a Graph in hand is always a
-simple graph (no self-loops, no duplicates, symmetric adjacency).
+each edge, the package's DIMACS parser checks each edge line before it
+hands its neighbor lists over, and the generators make only distinct
+edges between distinct vertices in range.  So a Graph in hand is always
+a simple graph (no self-loops, no duplicates, symmetric adjacency).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -57,11 +58,13 @@ class Graph:
     def _from_neighbor_lists(cls, adj: list[list[int]], ordered: bool) -> Graph:
         """The Graph on vertices 0..len(adj)-1 whose neighbor lists are adj.
 
-        For the package's own parser, which has already checked what
-        ``__init__`` checks: every id in range, no self-loop, and each
-        edge entered in both endpoints' lists.  ``ordered`` says that
-        each list is also ascending with no repeats, as the parser makes
-        them from edge lines it has found in order.  Consumes adj.
+        For the package's own parser and generators, which have already
+        checked what ``__init__`` checks: every id in range, no
+        self-loop, and each edge entered in both endpoints' lists.
+        ``ordered`` says that each list is also ascending with no
+        repeats, as the parser makes them from edge lines it has found in
+        order, and as the generators make them from the distinct edges
+        they draw.  Consumes adj.
         """
         g = cls.__new__(cls)
         g._seal(adj, ordered)
@@ -115,10 +118,14 @@ class Graph:
         return i < len(a) and a[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as (u, v) with u < v, in ascending order."""
-        for u in range(self._n):
-            for v in self._adj[u]:
-                if v > u:
+        """Yield each edge once as (u, v) with u < v, in ascending order.
+
+        Each neighbor tuple is walked only from its first neighbor above
+        u, and not at all when its last neighbor is below u.
+        """
+        for u, a in enumerate(self._adj):
+            if a and a[-1] > u:
+                for v in a[bisect_right(a, u):]:
                     yield (u, v)
 
     def __eq__(self, other: object) -> bool:

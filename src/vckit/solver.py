@@ -14,7 +14,8 @@ one byte per vertex plus a trail of the selected vertices, so selecting
 and deselecting a vertex is O(1); a node pays for its frontier scan,
 which reads the neighbors of each candidate it visits only until it has
 found the unselected ones it needs, and a node with no frontier left
-pays one O(n + m) pass to count the uncovered edges.
+pays one O(n + m) pass to count the uncovered edges (for paper5 and p3;
+under edge it has none).
 
 The frontier is deterministic: its center is the first vertex in
 ascending id order with at least `need` unselected neighbors, so for
@@ -241,6 +242,10 @@ class BranchSolver:
         branching rule visits.  A node with no frontier left decides
         itself: its remaining uncovered edges are disjoint, and it
         succeeds iff the selection plus one endpoint of each fits in k.
+        Under edge, any unselected vertex with an unselected neighbor is
+        a center, so a node without one has no uncovered edge: it
+        succeeds with the trail as its certificate and skips the
+        O(n + m) pass that finds the edges.
 
         Every entered node scans once.  The scan finds the next
         candidate (state byte 1) with bytearray.find, which runs in C,
@@ -292,7 +297,8 @@ class BranchSolver:
                 stack.append([frontier, -1, len(trail)])
                 found = False
             else:
-                ends = self._isolated_ends()
+                # Under edge (need 1), no center means no uncovered edge.
+                ends = self._isolated_ends() if need > 1 else []
                 found = len(trail) + len(ends) <= k
                 if found:
                     certificate = frozenset(trail + ends)

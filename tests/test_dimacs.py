@@ -160,6 +160,45 @@ def test_round_trip_random_graphs():
         assert parse_dimacs(write_dimacs(g)) == g
 
 
+def _reference_edges(g):
+    """Every adjacency entry read in turn, keeping those with v > u."""
+    return [(u, v) for u in g.vertices() for v in g.neighbors(u) if v > u]
+
+
+def _reference_write(g, comments=()):
+    lines = []
+    for comment in comments:
+        for part in str(comment).splitlines() or [""]:
+            lines.append(f"c {part}".rstrip())
+    lines.append(f"p edge {g.vertex_count} {g.edge_count}")
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in _reference_edges(g))
+    return "\n".join(lines) + "\n"
+
+
+def test_edges_and_write_equal_the_per_entry_loops():
+    inst = gen_planted(300, 6, 150, seed=8)
+    perm = list(range(300))
+    random.Random(8).shuffle(perm)
+    relabeled = Graph(300, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+    graphs = [
+        (Graph(0), ()),
+        (Graph(1), ()),
+        # isolated vertices at both ends and in the middle
+        (Graph(9, [(1, 4), (4, 7), (2, 4)]), ()),
+        # star centers: the last vertex's neighbors are all lower, the
+        # first's all higher
+        (Graph(6, [(5, i) for i in range(5)]), ()),
+        (Graph(6, [(0, i) for i in range(1, 6)]), ()),
+        (Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]), ()),
+        (relabeled, ("relabeled planted", "n=300 k=6\nseed 8")),
+    ]
+    for g, comments in graphs:
+        assert list(g.edges()) == _reference_edges(g)
+        text = write_dimacs(g, comments)
+        assert text == _reference_write(g, comments)
+        assert parse_dimacs(text) == g
+
+
 def test_parse_any_line_order_equals_graph_of_distinct_edges(monkeypatch):
     # Graph, not the parser, dedups and orders: shuffled, reversed and
     # repeated e lines give the same Graph and the distinct count, with

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from vckit import GraphError, brute_force_tau, gen_gnm, gen_planted
+from vckit import Graph, GraphError, brute_force_tau, gen_gnm, gen_planted
 from vckit import dimacs, generate
 
 from graphutil import check_graph
@@ -173,3 +173,75 @@ def test_planted_output_pinned(params):
 @pytest.mark.parametrize("params", sorted(_GNM_DIGESTS))
 def test_gnm_output_pinned(params):
     assert _sha256(dimacs.write_dimacs(gen_gnm(*params))) == _GNM_DIGESTS[params]
+
+
+# The generators' sampling written plainly with randrange: the reference
+# that the generators must equal draw for draw.
+def _reference_planted_edges(n, k, extra_edges, seed):
+    rng = random.Random(seed)
+    edge_set = {(i, k + i) for i in range(k)}
+    for _ in range(extra_edges):
+        while True:
+            c = rng.randrange(k)
+            o = rng.randrange(n)
+            if o == c:
+                continue
+            edge = (c, o) if c < o else (o, c)
+            if edge in edge_set:
+                continue
+            edge_set.add(edge)
+            break
+    return edge_set
+
+
+def _reference_gnm_edges(n, m, seed):
+    def sample_pairs(count):
+        pairs = set()
+        while len(pairs) < count:
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v:
+                continue
+            pairs.add((u, v) if u < v else (v, u))
+        return pairs
+
+    rng = random.Random(seed)
+    total = n * (n - 1) // 2
+    if m <= total // 2:
+        return sample_pairs(m)
+    excluded = sample_pairs(total - m)
+    return {(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in excluded}
+
+
+def test_draw_rule_is_randrange():
+    # the generators' draw below b is randrange(b) on this interpreter
+    for b in (1, 2, 3, 20, 2**15, 20000, dimacs.MAX_VERTICES):
+        for seed in range(3):
+            rng = random.Random(seed)
+            getrandbits = random.Random(seed).getrandbits
+            for _ in range(50):
+                r = getrandbits(b.bit_length())
+                while r >= b:
+                    r = getrandbits(b.bit_length())
+                assert r == rng.randrange(b), (b, seed)
+
+
+def test_generators_equal_the_randrange_reference():
+    rng = random.Random(2024)
+    for trial in range(100):
+        k = rng.choice((1, 1, 2, 3, rng.randrange(1, 12)))
+        n = 2 * k if trial % 4 == 0 else rng.randrange(2 * k, 2 * k + 60)
+        available = k * (k - 1) // 2 + k * (n - k) - k
+        extra = available if trial % 5 == 0 else rng.randrange(0, available + 1)
+        seed = rng.randrange(2**64)
+        expected = _reference_planted_edges(n, k, extra, seed)
+        assert gen_planted(n, k, extra, seed).graph == Graph(n, expected)
+    for trial in range(100):
+        n = rng.randrange(0, 40)
+        total = n * (n - 1) // 2
+        # odd trials take the sampled path (m <= total // 2), even ones
+        # mostly the complement
+        half = total // 2
+        m = rng.randrange(0, half + 1) if trial % 2 else rng.randrange(half, total + 1)
+        seed = rng.randrange(2**64)
+        assert gen_gnm(n, m, seed) == Graph(n, _reference_gnm_edges(n, m, seed))

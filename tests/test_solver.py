@@ -395,6 +395,40 @@ def test_node_counts_match_reference_recursion(g):
             assert observed == _reference_search(g, k, strategy.value), (strategy, k)
 
 
+def test_edge_leaves_skip_the_uncovered_edge_pass(monkeypatch):
+    # under edge a node without a frontier has no uncovered edge, so the
+    # leaf pass is never needed: trees and certificates stay the same
+    def unused(self):
+        raise AssertionError("edge leaf ran the uncovered-edge pass")
+
+    monkeypatch.setattr(BranchSolver, "_isolated_ends", unused)
+    for seed in (1, 2, 3):
+        g = _relabeled_planted(seed)
+        for k in (6, 5):
+            r = decide_vc(g, k, "edge")
+            certificate = None if r.certificate is None else tuple(sorted(r.certificate))
+            observed = (
+                r.decision,
+                certificate,
+                r.stats.nodes_expanded,
+                r.stats.max_depth,
+                r.stats.triplet_scans,
+            )
+            assert observed == _GOLDEN_TREES[(seed, "edge", k)], (seed, k)
+    for seed in range(6):
+        g = gen_gnm(12, 18, seed)
+        for k in range(9):
+            r = decide_vc(g, k, "edge")
+            observed = (
+                r.decision,
+                r.certificate,
+                r.stats.nodes_expanded,
+                r.stats.max_depth,
+                r.stats.triplet_scans,
+            )
+            assert observed == _reference_search(g, k, "edge"), (seed, k)
+
+
 def test_strategies_agree_on_planted_instances():
     for seed in range(5):
         inst = gen_planted(60, 5, 30, seed=seed)
