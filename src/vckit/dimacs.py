@@ -113,8 +113,8 @@ def _stream_blocks(stream: IO[str]) -> Iterator[str]:
 class _Parse:
     """One parse in progress: the problem line's counts, the neighbor
     lists, the table of vertex ids, the lines read so far and, while
-    every edge line so far came in order, the last one's ids (None once
-    one did not).
+    every edge line so far came in order, the last one's 1-based ids
+    (None once one did not).
 
     ``ids[x]`` is vertex x - 1, for each 1-based id x up to the largest
     one read so far, so that every neighbor entry of a vertex is one
@@ -228,25 +228,32 @@ class _Parse:
         except ValueError:
             return False
         del fields  # before the neighbor lists grow
-        # Checked before any indexing: a negative index would wrap.
-        low, high = min(min(us), min(vs)), max(max(us), max(vs))
-        if low < 1 or high > self.n or any(map(eq, us, vs)):
+        # In order: each line is (u, v) with u < v, and each pair is above
+        # the one before it, the last of the block before too.  Then no
+        # line is a self-loop, us[0] is the lowest id and max(vs) the
+        # highest.  Ids are checked before any indexing: a negative index
+        # would wrap.
+        last = self.last
+        in_order = (
+            last is not None
+            and last < (us[0], vs[0])
+            and all(map(lt, us, vs))
+            and all(map(lt, zip(us, vs), zip(us[1:], vs[1:])))
+        )
+        if in_order:
+            low, high = us[0], max(vs)
+        else:
+            low, high = min(min(us), min(vs)), max(max(us), max(vs))
+            if any(map(eq, us, vs)):
+                return False
+        if low < 1 or high > self.n:
             return False
+        self.last = (us[-1], vs[-1]) if in_order else None
         ids = self.ids
         if high >= len(ids):
             ids.extend(range(len(ids) - 1, high))
         us = list(map(ids.__getitem__, us))
         vs = list(map(ids.__getitem__, vs))
-        last = self.last
-        if last is not None:
-            # In order: each line is (u, v) with u < v, and each pair is
-            # above the one before it, the last of the block before too.
-            in_order = (
-                last < (us[0], vs[0])
-                and all(map(lt, us, vs))
-                and all(map(lt, zip(us, vs), zip(us[1:], vs[1:])))
-            )
-            self.last = (us[-1], vs[-1]) if in_order else None
         adj = self.adj
         for u, v in zip(us, vs):
             adj[u].append(v)

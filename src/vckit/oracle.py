@@ -7,7 +7,7 @@ with the branching search, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
@@ -20,20 +20,23 @@ BRUTE_FORCE_VERTEX_LIMIT = 30
 def verify_cover(g: Graph, cover: Iterable[int]) -> bool:
     """True iff every edge of g has at least one endpoint in cover.
 
-    Raises ValueError on a vertex id outside the graph.  The empty set
-    is a valid cover of an edgeless graph.
+    Raises ValueError on a vertex id outside the graph, before counting
+    anything.  The empty set is a valid cover of an edgeless graph.
+    Costs O(|C| + sum(deg C)) for the set C of cover's vertices, not
+    O(n + m): in a simple graph the edges with an endpoint in C number
+    sum(deg C) - |E(C)|, and 2|E(C)| is the sum of |N(c) & C| over C, so
+    C covers g iff that count is m.
     """
     n = g.vertex_count
-    members = set()
-    outside = bytearray(b"\x01") * n
-    for v in cover:
-        if not (0 <= v < n):
-            raise ValueError(f"vertex id {v} not in graph with {n} vertices")
-        members.add(v)
-        outside[v] = 0
-    # An edge is covered iff it has an endpoint in the cover, so iff
-    # every neighbor of every vertex outside the cover is in it.
-    return all(map(members.issuperset, compress(g.sorted_adjacency, outside)))
+    members = set(cover)
+    if members:
+        low, high = min(members), max(members)
+        if low < 0 or high >= n:
+            bad = low if low < 0 else high
+            raise ValueError(f"vertex id {bad} not in graph with {n} vertices")
+    around = list(map(g.sorted_adjacency.__getitem__, members))
+    inside = sum(map(len, map(members.intersection, around))) // 2
+    return sum(map(len, around)) - inside == g.edge_count
 
 
 def brute_force_tau(g: Graph) -> int:

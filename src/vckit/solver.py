@@ -13,9 +13,10 @@ budget, with O(n + k) extra state and no recursion.  The selection is
 one byte per vertex plus a trail of the selected vertices, so selecting
 and deselecting a vertex is O(1); a node pays for its frontier scan,
 which reads the neighbors of each candidate it visits only until it has
-found the unselected ones it needs, and a node with no frontier left
-pays one O(n + m) pass to count the uncovered edges (for paper5 and p3;
-under edge it has none).
+found the unselected ones it needs.  A node with no frontier left counts
+its uncovered edges from the degrees of the selected vertices, in
+O(k + their degree sum), and only a search that succeeds there with
+edges left pays one O(n + m) pass, to find their endpoints.
 
 The frontier is deterministic: its center is the first vertex in
 ascending id order with at least `need` unselected neighbors, so for
@@ -121,6 +122,29 @@ _RULES = {
 }
 
 
+def _plans(branches: tuple[tuple[int, ...], ...]) -> tuple:
+    """Each slack's plan for a rule's branches, indexed by slack from 0
+    to the largest branch size: the branches of at most that many
+    vertices in order, each as (skipped, branch) with the number of
+    over-budget branches just before it, then (skipped, None) for those
+    after the last.  None where no branch fits."""
+    plans = []
+    for slack in range(max(map(len, branches)) + 1):
+        plan, skipped = [], 0
+        for branch in branches:
+            if len(branch) > slack:
+                skipped += 1
+            else:
+                plan.append((skipped, branch))
+                skipped = 0
+        plan.append((skipped, None))
+        plans.append(tuple(plan) if len(plan) > 1 else None)
+    return tuple(plans)
+
+
+_PLANS = {strategy: _plans(branches) for strategy, (_, branches) in _RULES.items()}
+
+
 def _deadline(time_limit: float | None) -> float | None:
     """The perf_counter() reading at which time_limit seconds from now
     run out, or None for no limit."""
@@ -148,8 +172,7 @@ class BranchSolver:
     def __init__(self, graph: Graph, strategy: Strategy | str = Strategy.PAPER_FIVE):
         self.graph = graph
         self.strategy = Strategy(strategy)
-        need, self._branches = _RULES[self.strategy]
-        self._need = need
+        need = _RULES[self.strategy][0]
         self._adj = graph.sorted_adjacency
         # Each vertex's byte while it is unselected.
         self._unselected = bytes(1 if len(a) >= need else 2 for a in self._adj)
@@ -231,104 +254,138 @@ class BranchSolver:
         """Depth-first search of the branch tree for budget k; returns
         (certificate or None, nodes_expanded, max_depth, scans).
 
-        Each frame of the explicit stack is [frontier, branch_index,
-        mark] for one expanded node, where mark is the trail's length
-        when the node was entered; the trail holds the vertices of the
-        branch in flight at every level, so unwinding a frame pops the
-        trail back to its mark.  A child whose branch would take the
-        selection past k is counted as a failed node at depth + 1 but
-        never entered, so nothing is selected beyond the budget, while
-        nodes_expanded and max_depth still describe the whole tree the
-        branching rule visits.  A node with no frontier left decides
-        itself: its remaining uncovered edges are disjoint, and it
-        succeeds iff the selection plus one endpoint of each fits in k.
-        Under edge, any unselected vertex with an unselected neighbor is
-        a center, so a node without one has no uncovered edge: it
-        succeeds with the trail as its certificate and skips the
-        O(n + m) pass that finds the edges.
+        The trail holds the selection, the vertices of the branch in
+        flight at every level.  Each frame of the explicit stack is
+        (frontier, mark, steps) for one expanded node: mark is the
+        trail's length when the node was entered, so unwinding the frame
+        pops the trail back to it, and steps iterates the node's plan.
+        The plan for slack s = k - mark (capped at the largest branch)
+        lists, in order, the branches of at most s vertices, each as
+        (skipped, branch) with the number of over-budget branches just
+        before it, and ends with (skipped, None) for those after the
+        last.  A branch over budget is counted as a failed node at
+        depth + 1 but never entered, so nothing is selected beyond the
+        budget, while nodes_expanded and max_depth still describe the
+        whole tree the branching rule visits.  A node whose plan has no
+        branch that fits, as at slack 0, counts all its children and
+        fails without pushing a frame.
+
+        A node with no frontier left decides itself: its remaining
+        uncovered edges are disjoint, and it succeeds iff the selection
+        plus one endpoint of each fits in k.  It counts them as m minus
+        the edges with an endpoint in the selection S, which number
+        sum(deg S) - |E(S)|, where 2|E(S)| sums |N(s) & S| over S: a
+        graph is simple.  That costs O(k + sum(deg S)).  Only a leaf
+        that succeeds with uncovered edges left pays the O(n + m) pass
+        that finds their endpoints for the certificate; under edge, any
+        unselected vertex with an unselected neighbor is a center, so a
+        leaf there has none left.
 
         Every entered node scans once.  The scan finds the next
         candidate (state byte 1) with bytearray.find, which runs in C,
         and reads its neighbors' bytes only until it has the `need`
-        unselected ones the frontier takes.  It starts at the parent's
-        center, or at 0 at the root, by this invariant: every unselected
-        vertex below the parent's center fails the scan (it has fewer
-        than `need` unselected neighbors).  The parent's own scan found
-        it so, and selecting vertices only removes unselected neighbors,
-        so it still holds anywhere below the parent.
+        unselected ones the frontier takes, allocating nothing until a
+        center qualifies.  It starts at the parent's center, or at 0 at
+        the root, by this invariant: every unselected vertex below the
+        parent's center fails the scan (it has fewer than `need`
+        unselected neighbors).  The parent's own scan found it so, and
+        selecting vertices only removes unselected neighbors, so it
+        still holds anywhere below the parent.
         """
-        need = self._need
-        branches = self._branches
+        # A path frontier is (v, u, w), with u unset (-1) until the scan
+        # meets v's first unselected neighbor; an edge frontier is
+        # (v, w), and its scan starts with u already "set".
+        need, branches = _RULES[self.strategy]
+        path = need > 1
+        unset = -1 if path else 0
+        plans = _PLANS[self.strategy]
+        cap = len(plans) - 1
         n_branches = len(branches)
         adj = self._adj
+        m = self.graph.edge_count
         state = self._state
         find = state.find
         unselected = self._unselected
         trail = self._trail
-        stack: list[list] = []
+        select = trail.append
+        deselect = trail.pop
+        stack: list[tuple] = []
         nodes = 0
         scans = 0
         next_check = 1
         max_depth = 0
         certificate = None
+        depth = size = start = 0
         while True:
-            # Enter a node at depth len(stack) with len(trail) <= k.
+            # Enter a node at depth `depth` whose selection, the trail,
+            # has size <= k vertices.
             nodes += 1
             scans += 1
-            if len(stack) > max_depth:
-                max_depth = len(stack)
             if deadline is not None and nodes >= next_check:
                 next_check = nodes + _TIME_CHECK_INTERVAL
                 if time.perf_counter() > deadline:
                     raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
-            p = find(1, stack[-1][0][0] if stack else 0)
+            p = find(1, start)
             while p >= 0:
-                frontier = [p]
+                u = unset
                 for w in adj[p]:
                     if state[w]:
-                        frontier.append(w)
-                        if len(frontier) > need:
+                        if u >= 0:
                             break
+                        u = w
                 else:
                     p = find(1, p + 1)
                     continue
                 break
-            if p >= 0:
-                stack.append([frontier, -1, len(trail)])
-                found = False
+            found = False
+            if p < 0:
+                selected = set(trail)
+                around = list(map(adj.__getitem__, trail))
+                left = (
+                    m
+                    - sum(map(len, around))
+                    + sum(map(len, map(selected.intersection, around))) // 2
+                )
+                if size + left <= k:
+                    found = True
+                    if left:
+                        certificate = frozenset(trail + self._isolated_ends())
+                    else:
+                        certificate = frozenset(trail)
             else:
-                # Under edge (need 1), no center means no uncovered edge.
-                ends = self._isolated_ends() if need > 1 else []
-                found = len(trail) + len(ends) <= k
-                if found:
-                    certificate = frozenset(trail + ends)
+                slack = k - size
+                plan = plans[slack if slack < cap else cap]
+                if plan is None:
+                    # Every child is over budget: counted, never entered.
+                    nodes += n_branches
+                else:
+                    stack.append(((p, u, w) if path else (p, w), size, iter(plan)))
+                if depth >= max_depth:
+                    max_depth = depth + 1
             # Pass the outcome up until a frame has a branch left that fits
-            # the budget.  A branch over budget would fail at once: it
-            # counts as a node at depth len(stack) but is never entered.
+            # the budget, and enter it.
             while stack:
-                frame = stack[-1]
-                frontier, b, mark = frame
-                while len(trail) > mark:
-                    v = trail.pop()
+                frontier, mark, steps = stack[-1]
+                while size > mark:
+                    size -= 1
+                    v = deselect()
                     state[v] = unselected[v]
                 if not found:
-                    b += 1
-                    while b < n_branches and mark + len(branches[b]) > k:
-                        nodes += 1
-                        b += 1
-                    if b < n_branches:
-                        frame[1] = b
-                        for i in branches[b]:
+                    skipped, branch = next(steps)
+                    nodes += skipped
+                    if branch is not None:
+                        for i in branch:
                             v = frontier[i]
                             state[v] = 0
-                            trail.append(v)
+                            select(v)
+                        size += len(branch)
+                        start = frontier[0]
+                        depth = len(stack)
                         break
-                    # Some child at this depth was entered or counted.
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
                 stack.pop()
             else:
                 return certificate, nodes, max_depth, scans
+
 
 def decide_vc(
     g: Graph,
@@ -349,14 +406,19 @@ def lp_lower_bound(g: Graph) -> int:
     which is never above tau(g) and never below the size of a matching
     of g, whose every edge gives B two disjoint arcs.
 
-    The matching of B starts from a greedy matching of g taken in both
-    directions, over the vertices in ascending degree order (ties by
-    id).  That seed leaves no free right neighbor to a free left
-    vertex, so Hopcroft-Karp phases (Hopcroft & Karp 1973) grow it to
-    maximum from the left vertices it left free.  A phase layers the
-    alternating paths by BFS, then augments along vertex-disjoint
-    shortest paths by DFS on an explicit stack, and resets only the
-    entries it touched.
+    The matching of B starts from a greedy matching M of g taken in
+    both directions, over the vertices in ascending degree order (ties
+    by id), each vertex matched to its first free neighbor.  When the
+    ends M's edges were taken toward cover g (checked with verify_cover,
+    in O(|M| + their degree sum)), a matching and a cover of one size
+    prove |M| = LP = tau, and the bound is |M| with no further work: so
+    it is on planted graphs, whose low-degree vertices are matched
+    toward the hubs.  Otherwise the seed leaves no free right neighbor
+    to a free left vertex, so Hopcroft-Karp phases (Hopcroft & Karp
+    1973) grow it to maximum from the left vertices it left free.  A
+    phase layers the alternating paths by BFS, then augments along
+    vertex-disjoint shortest paths by DFS on an explicit stack, and
+    resets only the entries it touched.
     """
     adj = g.sorted_adjacency
     n = len(adj)
@@ -365,6 +427,7 @@ def lp_lower_bound(g: Graph) -> int:
     mate_r = [-1] * n  # left partner of each right vertex
     size = 0
     free: list[int] = []
+    ends: list[int] = []  # the end each seed edge was taken toward
     for u in sorted(compress(range(n), degree), key=degree.__getitem__):
         if mate_l[u] < 0:
             for v in adj[u]:
@@ -372,10 +435,14 @@ def lp_lower_bound(g: Graph) -> int:
                     mate_l[u] = mate_r[u] = v
                     mate_l[v] = mate_r[v] = u
                     size += 2
+                    ends.append(v)
                     break
             else:
                 # Every neighbor is taken, so u stays free in g.
                 free.append(u)
+    if verify_cover(g, ends):
+        # A matching and a cover of one size: tau = LP = |M|.
+        return len(ends)
     dist = [-1] * n  # BFS layer of a left vertex; -1 unreached, -2 dead end
     ptr = [0] * n  # where the DFS resumes in a left vertex's neighbors
     while free:
@@ -446,8 +513,8 @@ def min_vertex_cover(
 
     Starts at the LP lower bound (lp_lower_bound) and asks a
     BranchSolver for each k until the first success, which is exactly
-    tau(g); the returned cover is re-verified edge by edge.  Stats are
-    merged across probes.  On a planted graph the bound is already
+    tau(g); the returned cover is re-verified with verify_cover.  Stats
+    are merged across probes.  On a planted graph the bound is already
     tau, so the first probe is the last.  time_limit (seconds) spans
     the whole computation, bound included; NaN raises ValueError.
     """

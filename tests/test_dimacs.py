@@ -104,6 +104,23 @@ def test_vertex_id_out_of_range():
     )
 
 
+@pytest.mark.parametrize("block", [dimacs._BLOCK_CHARS, 7])
+def test_in_order_block_with_an_id_out_of_range(monkeypatch, block):
+    # A block in order checks only its ends, its first u and its largest
+    # v; either one out of range sends the block line by line, which
+    # names the line.
+    monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+    assert _error("p edge 4 3\ne 0 1\ne 1 2\ne 2 3\n") == (
+        "line 2: vertex id outside 1..4 in edge (0, 1)", 2
+    )
+    assert _error("p edge 4 3\ne 1 2\ne 2 5\ne 3 4\n") == (
+        "line 3: vertex id outside 1..4 in edge (2, 5)", 3
+    )
+    assert _error("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 3 5\n") == (
+        "line 5: vertex id outside 1..4 in edge (3, 5)", 5
+    )
+
+
 def test_self_loop_rejected():
     assert _error("p edge 3 1\ne 2 2\n") == ("line 2: self-loop edge (2, 2)", 2)
     # after valid edges, with comments, blank lines and odd whitespace

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vckit import Graph, brute_force_tau, gen_gnm, verify_cover
 
@@ -36,6 +38,41 @@ def test_verify_cover_accepts_any_iterable():
     g = path_graph(4)
     assert verify_cover(g, [1, 2])
     assert verify_cover(g, (1, 2, 2))
+
+
+@st.composite
+def _graphs_and_ids(draw):
+    """A graph of up to 12 vertices and a list of its ids, repeats allowed."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, kept in zip(pairs, keep) if kept])
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    return g, ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs_and_ids(), st.sampled_from([-1, 0]))
+def test_verify_cover_equals_a_loop_over_the_edges(case, outside):
+    g, ids = case
+    n = g.vertex_count
+
+    def by_loop(cover):
+        members = set(cover)
+        return all(u in members or v in members for u, v in g.edges())
+
+    for cover in (ids, set(ids), tuple(ids), [], range(n)):
+        assert verify_cover(g, cover) == by_loop(cover), cover
+        assert verify_cover(g, iter(cover)) == by_loop(cover), cover
+    assert verify_cover(g, range(n))
+    assert verify_cover(g, []) == (g.edge_count == 0)
+    # An id outside the graph raises, wherever it stands among the others.
+    bad = -1 if outside else n
+    for cover in (ids + [bad], [bad] + ids, {bad, *ids}):
+        with pytest.raises(ValueError, match=f"vertex id {bad} not in graph"):
+            verify_cover(g, cover)
+        with pytest.raises(ValueError, match=f"vertex id {bad} not in graph"):
+            verify_cover(g, (v for v in cover))
 
 
 def test_tau_of_named_graphs():

@@ -371,9 +371,10 @@ def _reference_search(g, k, strategy):
 
 
 @st.composite
-def _small_graphs(draw):
-    """Up to 12 vertices; any set of pairs, so mostly dense graphs."""
-    n = draw(st.integers(1, 12))
+def _small_graphs(draw, max_vertices=12):
+    """Up to max_vertices vertices; any set of pairs, so mostly dense
+    graphs."""
+    n = draw(st.integers(1, max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, kept in zip(pairs, keep) if kept])
@@ -395,38 +396,61 @@ def test_node_counts_match_reference_recursion(g):
             assert observed == _reference_search(g, k, strategy.value), (strategy, k)
 
 
-def test_edge_leaves_skip_the_uncovered_edge_pass(monkeypatch):
-    # under edge a node without a frontier has no uncovered edge, so the
-    # leaf pass is never needed: trees and certificates stay the same
-    def unused(self):
-        raise AssertionError("edge leaf ran the uncovered-edge pass")
+def test_only_a_successful_leaf_with_edges_left_finds_their_ends(monkeypatch):
+    # A leaf counts its uncovered edges from the selection's degrees; the
+    # O(n + m) endpoint pass runs only at a leaf that succeeds with edges
+    # left, so never at a failing leaf or one with no edge left, and at
+    # most once a search.  Trees and certificates stay the same.
+    calls = []
+    isolated_ends = BranchSolver._isolated_ends
 
-    monkeypatch.setattr(BranchSolver, "_isolated_ends", unused)
+    def spy(self):
+        calls.append(isolated_ends(self))
+        return calls[-1]
+
+    monkeypatch.setattr(BranchSolver, "_isolated_ends", spy)
+
+    def observe(g, k, strategy):
+        calls.clear()
+        r = decide_vc(g, k, strategy)
+        assert len(calls) <= 1, (strategy, k)
+        if calls:
+            assert r.decision and calls[0], (strategy, k)
+            assert r.certificate.issuperset(calls[0])
+        return r
+
     for seed in (1, 2, 3):
         g = _relabeled_planted(seed)
-        for k in (6, 5):
-            r = decide_vc(g, k, "edge")
-            certificate = None if r.certificate is None else tuple(sorted(r.certificate))
-            observed = (
-                r.decision,
-                certificate,
-                r.stats.nodes_expanded,
-                r.stats.max_depth,
-                r.stats.triplet_scans,
-            )
-            assert observed == _GOLDEN_TREES[(seed, "edge", k)], (seed, k)
+        for strategy in ALL_STRATEGIES:
+            for k in (6, 5):
+                r = observe(g, k, strategy)
+                certificate = None if r.certificate is None else tuple(sorted(r.certificate))
+                observed = (
+                    r.decision,
+                    certificate,
+                    r.stats.nodes_expanded,
+                    r.stats.max_depth,
+                    r.stats.triplet_scans,
+                )
+                assert observed == _GOLDEN_TREES[(seed, strategy.value, k)], (seed, k)
     for seed in range(6):
         g = gen_gnm(12, 18, seed)
-        for k in range(9):
-            r = decide_vc(g, k, "edge")
-            observed = (
-                r.decision,
-                r.certificate,
-                r.stats.nodes_expanded,
-                r.stats.max_depth,
-                r.stats.triplet_scans,
-            )
-            assert observed == _reference_search(g, k, "edge"), (seed, k)
+        for strategy in ALL_STRATEGIES:
+            for k in range(9):
+                r = observe(g, k, strategy)
+                observed = (
+                    r.decision,
+                    r.certificate,
+                    r.stats.nodes_expanded,
+                    r.stats.max_depth,
+                    r.stats.triplet_scans,
+                )
+                assert observed == _reference_search(g, k, strategy.value), (seed, k)
+    # A path rule's successful leaf on disjoint edges finds their ends.
+    for strategy in (Strategy.PAPER_FIVE, Strategy.CLASSIC_P3):
+        r = observe(matching_graph(3), 3, strategy)
+        assert calls == [[0, 2, 4]]
+        assert r.certificate == frozenset({0, 2, 4})
 
 
 def test_strategies_agree_on_planted_instances():
@@ -660,10 +684,40 @@ def test_lp_bound_examples():
     assert lp_lower_bound(petersen_graph()) == 5
 
 
-def test_lp_bound_on_a_long_odd_cycle():
+def _spy_on_the_seed_cover_check(monkeypatch) -> list:
+    """Record what each check of the greedy seed's ends returns."""
+    checks = []
+    verify = solver_module.verify_cover
+
+    def spy(g, cover):
+        checks.append(verify(g, cover))
+        return checks[-1]
+
+    monkeypatch.setattr(solver_module, "verify_cover", spy)
+    return checks
+
+
+def test_lp_bound_on_a_long_odd_cycle(monkeypatch):
     # The seed leaves one vertex of C_5001 free, and the one augmenting
     # path of the double cover left to find runs the whole way round it.
+    # The seed's ends do not cover the cycle, so the phases run, as on C5.
+    checks = _spy_on_the_seed_cover_check(monkeypatch)
     assert lp_lower_bound(cycle_graph(5001)) == 2501
+    assert lp_lower_bound(cycle_graph(5)) == 3
+    assert checks == [False, False]
+
+
+def test_lp_bound_is_the_planted_k_from_the_seed_alone(monkeypatch):
+    # At the solve_probes shapes the ends the greedy seed was taken
+    # toward already cover the graph: a matching and a cover of one
+    # size, so the bound is the planted k without a Hopcroft-Karp phase.
+    checks = _spy_on_the_seed_cover_check(monkeypatch)
+    rng = random.Random(19)
+    shapes = [(1000, 6)] * 4 + [(200, 8)] * 4
+    for n, k in shapes:
+        inst = gen_planted(n, k, round(0.5 * n), rng.randrange(2**32))
+        assert lp_lower_bound(inst.graph) == k, (n, k)
+    assert checks == [True] * len(shapes)
 
 
 def _half_integral_lp(g: Graph) -> int:
@@ -746,6 +800,13 @@ def _maximal_matching_size(g: Graph) -> int:
 def test_lp_bound_lies_between_a_maximal_matching_and_tau(g):
     bound = lp_lower_bound(g)
     assert _maximal_matching_size(g) <= bound <= brute_force_tau(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_small_graphs(9), _sparse_graphs(9)))
+def test_lp_bound_is_the_half_integral_lp_on_small_graphs(g):
+    # Whichever way it ends, from the seed or after the phases.
+    assert lp_lower_bound(g) == (_half_integral_lp(g) + 1) // 2
 
 
 # -- min_vertex_cover -------------------------------------------------
