@@ -9,9 +9,7 @@ from .bench import (
     CSV_HEADER,
     BenchConfig,
     BenchRecord,
-    BranchingFit,
     estimate_branching_factor,
-    parse_config_file,
     run_benchmark,
     write_report,
 )
@@ -21,14 +19,12 @@ from .dimacs import (
     parse_dimacs,
     read_dimacs_file,
     write_dimacs,
-    write_dimacs_file,
 )
-from .generate import PlantedInstance, gen_gnm, gen_planted
+from .generate import gen_gnm, gen_planted
 from .graph import Graph, GraphError
-from .oracle import BRUTE_FORCE_VERTEX_LIMIT, brute_force_tau, verify_cover
+from .oracle import brute_force_tau, verify_cover
 from .solver import (
     BranchSolver,
-    MinCoverResult,
     SolveResult,
     SolveStats,
     SolveTimeout,
@@ -41,18 +37,14 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_VERTEX_LIMIT",
     "BenchConfig",
     "BenchRecord",
     "BranchSolver",
-    "BranchingFit",
     "CSV_HEADER",
     "DimacsError",
     "DimacsFormatWarning",
     "Graph",
     "GraphError",
-    "MinCoverResult",
-    "PlantedInstance",
     "SolveResult",
     "SolveStats",
     "SolveTimeout",
@@ -64,12 +56,10 @@ __all__ = [
     "gen_planted",
     "lp_lower_bound",
     "min_vertex_cover",
-    "parse_config_file",
     "parse_dimacs",
     "read_dimacs_file",
     "run_benchmark",
     "verify_cover",
     "write_dimacs",
-    "write_dimacs_file",
     "write_report",
 ]

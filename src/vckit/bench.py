@@ -10,7 +10,7 @@ The CSV is the integration point for any downstream analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from statistics import linear_regression, median
 from typing import Iterable, Optional, Sequence
 
@@ -303,46 +303,3 @@ def _write_table(ordered: Sequence[BenchRecord]) -> str:
         out.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(out) + "\n"
 
-
-def parse_config_file(path) -> BenchConfig:
-    """Read a key = value benchmark config.
-
-    Blank lines and '#' comments are skipped.  List values split on
-    commas and whitespace.  Recognized keys are the BenchConfig fields;
-    anything else raises ValueError with the line number.  time_limit
-    accepts 'none' to disable the limit.
-    """
-    config = BenchConfig()
-    known = {f.name for f in fields(BenchConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-            try:
-                config = replace(config, **{key: _parse_config_value(key, value)})
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return config
-
-
-def _parse_config_value(key: str, value: str):
-    parts = value.replace(",", " ").split()
-    if key in ("n_values", "k_values", "seeds"):
-        return [int(p) for p in parts]
-    if key == "strategies":
-        return tuple(Strategy(p) for p in parts)
-    if key == "extra_edge_ratio":
-        return float(value)
-    if key == "repetitions":
-        return int(value)
-    if key == "time_limit":
-        return None if value.lower() == "none" else float(value)
-    raise AssertionError(f"unhandled key {key}")

@@ -22,9 +22,7 @@ from .bench import (
     BenchConfig,
     _check_edge_ratio,
     _check_time_limit,
-    _parse_config_value,
     estimate_branching_factor,
-    parse_config_file,
     run_benchmark,
     write_report,
 )
@@ -42,9 +40,8 @@ from .solver import (
 
 _STRATEGY_CHOICES = [s.value for s in Strategy]
 
-# The sweep flags of `vckit bench` as (flag, config-file key, help).  A
-# flag's text is read as the value of its key in a config file, and
-# overrides that key.
+# The sweep flags of `vckit bench` as (flag, BenchConfig field, help).  A
+# given flag's text, read by _parse_config_value, sets its field.
 _BENCH_FLAGS = (
     ("--n", "n_values", "comma-separated n values"),
     ("--k", "k_values", "comma-separated k values"),
@@ -59,24 +56,39 @@ _BENCH_FLAGS = (
 )
 
 
+def _parse_config_value(key: str, value: str):
+    """The value of BenchConfig field key given by a sweep flag's text.
+    Lists split on commas and whitespace; time_limit accepts 'none'."""
+    parts = value.replace(",", " ").split()
+    if key in ("n_values", "k_values", "seeds"):
+        return [int(p) for p in parts]
+    if key == "strategies":
+        return tuple(Strategy(p) for p in parts)
+    if key == "extra_edge_ratio":
+        return float(value)
+    if key == "repetitions":
+        return int(value)
+    if key == "time_limit":
+        return None if value.lower() == "none" else float(value)
+    raise AssertionError(f"unhandled key {key}")
+
+
 def _read_graph(path: str) -> Graph:
     """The graph in the DIMACS file at path, or on stdin for '-', read a
     block at a time."""
     return read_dimacs_file(sys.stdin if path == "-" else path)
 
 
-def _read_text(path: str) -> str:
-    """The text of the file at path, or of stdin for '-'."""
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return fh.read()
-
-
 def _read_cover(path: str) -> list[int]:
-    """Whitespace-separated vertex ids; 'c' or '#' lines are comments."""
+    """Whitespace-separated vertex ids in the file at path, or on stdin
+    for '-'; 'c' or '#' lines are comments."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
     ids: list[int] = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("#"):
             continue
@@ -175,10 +187,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config is not None:
-        config = parse_config_file(args.config)
-    else:
-        config = BenchConfig()
+    config = BenchConfig()
     for flag, key, _ in _BENCH_FLAGS:
         text = getattr(args, key)
         if text is not None:
@@ -283,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="run a benchmark sweep over planted instances"
     )
-    p_bench.add_argument("--config", default=None, help="key = value config file")
     for flag, key, help_text in _BENCH_FLAGS:
         p_bench.add_argument(flag, dest=key, default=None, help=help_text)
     p_bench.add_argument("--output", default=None, help="write the CSV report here")

@@ -15,8 +15,9 @@ most MAX_VERTICES vertices; a larger n is rejected at that line, before
 anything is allocated for it, since the parse allocates one neighbor
 list per declared vertex there.
 
-A parse holds one block of text (about 16 KiB, cut just after a
-``\n``) split into either its lines or, for a block of plain edge
+A parse takes its text 16 KiB at a time, cuts each piece after its
+last ``\n`` and carries the rest over to the next piece.  It holds one
+such block split into either its lines or, for a block of plain edge
 lines, its fields and ids, and the graph being built: each edge line
 goes straight into its endpoints' neighbor lists, so there is never a
 list of all lines or of all edges.  Every neighbor entry of a vertex is
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
+from contextlib import nullcontext
+from functools import partial
 from operator import eq, lt
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .graph import Graph
 
@@ -47,12 +50,12 @@ from .graph import Graph
 # (20000 vertices).
 MAX_VERTICES = 10_000_000
 
-# About how many characters of text are split at a time, and how many
-# read_dimacs_file reads from its stream at a time.  A block read in
-# bulk peaks at about 15 times its own size in fields and ids, on top
-# of the graph being built: at 16 KiB a parse of an 8000-vertex graph
-# peaks at 1.74 times the graph it returns.  Parse time hardly changes
-# between 4 and 64 KiB blocks.
+# How many characters of text a parse takes at a time: each slice that
+# parse_dimacs takes of its text, and each read of read_dimacs_file.  A
+# block read in bulk peaks at about 15 times its own size in fields and
+# ids, on top of the graph being built: at 16 KiB a parse of an
+# 8000-vertex graph peaks at 1.74 times the graph it returns.  Parse
+# time hardly changes between 4 and 64 KiB blocks.
 _BLOCK_CHARS = 1 << 14
 
 # Line breaks of str.splitlines() that a block taken in bulk may not
@@ -75,29 +78,16 @@ class DimacsFormatWarning(UserWarning):
     """Recoverable oddity in DIMACS input, e.g. a wrong declared edge count."""
 
 
-def _blocks(text: str) -> Iterator[str]:
-    r"""Cut ``text`` into blocks that end just after a ``\n``.
+def _stream_blocks(chunks: Iterable[str]) -> Iterator[str]:
+    r"""The text that ``chunks`` spell, as blocks that end just after a
+    ``\n``, or at the end of the text.
 
-    A block runs to the first ``\n`` at or past _BLOCK_CHARS characters,
-    or to the end of the text.
-    """
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or size
-        yield text[start:end]
-        start = end
-
-
-def _stream_blocks(stream: IO[str]) -> Iterator[str]:
-    r"""Read ``stream`` _BLOCK_CHARS characters at a time, as blocks
-    that end just after a ``\n``, or at the end of the stream.
-
-    Each read is cut after its last ``\n``; what follows waits for the
-    next read.  Reads with no ``\n`` are collected and joined once, so
+    Each chunk is cut after its last ``\n``; what follows waits for the
+    next chunk.  Chunks with no ``\n`` are collected and joined once, so
     a long line costs time linear in its length.
     """
     pending: list[str] = []
-    while chunk := stream.read(_BLOCK_CHARS):
+    for chunk in chunks:
         cut = chunk.rfind("\n") + 1
         if cut:
             pending.append(chunk[:cut])
@@ -319,7 +309,9 @@ def parse_dimacs(data: str | bytes) -> Graph:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
-    return _parse(_blocks(data))
+    return _parse(_stream_blocks(
+        data[i:i + _BLOCK_CHARS] for i in range(0, len(data), _BLOCK_CHARS)
+    ))
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
@@ -354,11 +346,8 @@ def read_dimacs_file(source) -> Graph:
     whole text is never held, only one block of it at a time.
     """
     if hasattr(source, "read"):
-        return _parse(_stream_blocks(source))
-    with open(source, "r", encoding="utf-8", errors="replace") as fh:
-        return _parse(_stream_blocks(fh))
-
-
-def write_dimacs_file(g: Graph, path, comments: tuple[str, ...] | list[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_dimacs(g, comments))
+        file = nullcontext(source)
+    else:
+        file = open(source, "r", encoding="utf-8", errors="replace")
+    with file as fh:
+        return _parse(_stream_blocks(iter(partial(fh.read, _BLOCK_CHARS), "")))

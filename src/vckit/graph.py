@@ -100,15 +100,9 @@ class Graph:
         """Per-vertex neighbor tuples in ascending order, indexed by id."""
         return self._adj
 
-    def vertices(self) -> range:
-        return range(self._n)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self._n):

@@ -16,7 +16,6 @@ from vckit import (
     decide_vc,
     estimate_branching_factor,
     gen_planted,
-    parse_config_file,
     run_benchmark,
     verify_cover,
     write_report,
@@ -300,43 +299,3 @@ def test_branching_fit_rejects_timed_out_groups():
     assert fit.points == 3
     assert math.isclose(fit.base, 2.0, rel_tol=1e-9)
 
-
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "bench.cfg"
-    path.write_text(
-        """
-        # sweep for a quick look
-        n_values = 100, 200
-        k_values = 4 5
-        extra_edge_ratio = 0.25
-        strategies = p3, edge
-        seeds = 1, 2, 3
-        repetitions = 2
-        time_limit = none
-        """
-    )
-    config = parse_config_file(path)
-    assert config.n_values == [100, 200]
-    assert config.k_values == [4, 5]
-    assert config.extra_edge_ratio == 0.25
-    assert config.strategies == (Strategy.CLASSIC_P3, Strategy.EDGE_BRANCH)
-    assert config.seeds == [1, 2, 3]
-    assert config.repetitions == 2
-    assert config.time_limit is None
-
-
-def test_parse_config_file_errors(tmp_path):
-    bad_key = tmp_path / "bad_key.cfg"
-    bad_key.write_text("nvalues = 1\n")
-    with pytest.raises(ValueError, match="line 1: unknown key"):
-        parse_config_file(bad_key)
-
-    bad_value = tmp_path / "bad_value.cfg"
-    bad_value.write_text("k_values = 4\nstrategies = warp\n")
-    with pytest.raises(ValueError, match="line 2"):
-        parse_config_file(bad_value)
-
-    no_eq = tmp_path / "no_eq.cfg"
-    no_eq.write_text("repetitions\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
-        parse_config_file(no_eq)

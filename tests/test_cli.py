@@ -14,7 +14,9 @@ import pytest
 import vckit
 from vckit import (
     CSV_HEADER,
+    BenchConfig,
     DimacsFormatWarning,
+    Strategy,
     gen_planted,
     parse_dimacs,
     run_benchmark,
@@ -304,20 +306,9 @@ def test_bench_strategy_subset_and_fits(capsys):
     assert "paper5" not in out
 
 
-def test_bench_config_file(tmp_path, capsys):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(
-        "n_values = 40\nk_values = 2\nseeds = 1\n"
-        "extra_edge_ratio = 0.2\nrepetitions = 1\nstrategies = p3\n"
-    )
-    assert main(["bench", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "time_ms[p3]" in out
-
-
-def test_bench_flags_parse_like_config_lines(tmp_path, monkeypatch, capsys):
-    # the same text as a flag or as a config-file line gives the same
-    # sweep, including a time limit of none
+def test_bench_flags_parse_like_config_lines(monkeypatch, capsys):
+    # each sweep flag's text sets its BenchConfig field: lists split on
+    # commas and whitespace, and a time limit of none is no limit
     configs = []
 
     def recording(config):
@@ -325,19 +316,16 @@ def test_bench_flags_parse_like_config_lines(tmp_path, monkeypatch, capsys):
         return run_benchmark(config)
 
     monkeypatch.setattr(cli, "run_benchmark", recording)
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(
-        "n_values = 40\nk_values = 2, 3\nseeds = 1\nstrategies = p3 edge\n"
-        "repetitions = 2\nextra_edge_ratio = 0.2\ntime_limit = none\n"
-    )
-    assert main(["bench", "--config", str(cfg)]) == 0
     assert main([
         "bench", "--n", "40", "--k", "2, 3", "--seed", "1",
         "--strategy", "p3 edge", "--repetitions", "2",
         "--extra-edge-ratio", "0.2", "--time-limit", "none",
     ]) == 0
-    assert configs[0] == configs[1]
-    assert configs[1].time_limit is None
+    assert configs == [BenchConfig(
+        n_values=[40], k_values=[2, 3], seeds=[1],
+        strategies=(Strategy.CLASSIC_P3, Strategy.EDGE_BRANCH),
+        repetitions=2, extra_edge_ratio=0.2, time_limit=None,
+    )]
     capsys.readouterr()
     assert main(["bench", "--repetitions", "two"]) == 2
     assert capsys.readouterr().err.startswith("error: --repetitions: ")

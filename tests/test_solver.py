@@ -762,11 +762,11 @@ def test_lp_bound_is_the_half_integral_lp_on_the_atlas():
 
 def _double_cover_matching_size(g: Graph) -> int:
     cover = networkx.Graph()
-    left = [("L", u) for u in g.vertices()]
+    left = [("L", u) for u in range(g.vertex_count)]
     cover.add_nodes_from(left)
-    cover.add_nodes_from(("R", v) for v in g.vertices())
+    cover.add_nodes_from(("R", v) for v in range(g.vertex_count))
     cover.add_edges_from(
-        (("L", u), ("R", v)) for u in g.vertices() for v in g.neighbors(u)
+        (("L", u), ("R", v)) for u in range(g.vertex_count) for v in g.neighbors(u)
     )
     matching = networkx.bipartite.hopcroft_karp_matching(cover, top_nodes=left)
     return len(matching) // 2  # the dict holds each matched pair twice
