@@ -20,11 +20,14 @@ last ``\n`` and carries the rest over to the next piece.  It holds one
 such block split into either its lines or, for a block of plain edge
 lines, its fields and ids, and the graph being built: each edge line
 goes straight into its endpoints' neighbor lists, so there is never a
-list of all lines or of all edges.  Every neighbor entry of a vertex is
-the one int object that a table, grown to the largest id read so far,
-holds for it.  read_dimacs_file reads its file or stream a block at a
-time, so it never holds the whole text; parse_dimacs is given its text
-whole.
+list of all lines or of all edges.  Sorted text comes in runs of lines
+that share their first id; a plain block that opens with a long run is
+read a run at a time, with one int() per run's first id and one extend
+of its neighbor list, instead of a line at a time.  Every neighbor
+entry of a vertex is the one int object that a table, grown to the
+largest id read so far, holds for it.  read_dimacs_file reads its file
+or stream a block at a time, so it never holds the whole text;
+parse_dimacs is given its text whole.
 
 Canonical output is the problem line with the exact distinct edge
 count followed by the edges sorted ascending, so parse(write(g)) == g.
@@ -32,11 +35,13 @@ count followed by the edges sorted ascending, so parse(write(g)) == g.
 
 from __future__ import annotations
 
+import codecs
 import warnings
 from bisect import bisect_right
 from contextlib import nullcontext
 from functools import partial
-from operator import eq, lt
+from itertools import chain, compress
+from operator import eq, ge, gt, lt, ne
 from typing import Iterable, Iterator
 
 from .graph import Graph
@@ -62,6 +67,12 @@ _BLOCK_CHARS = 1 << 14
 # hold: there, ``\n`` (alone or in ``\r\n``) is the only line break.
 # The others past ASCII are ruled out by str.isascii().
 _ODD_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+# A plain block whose lines 0 and _RUN_PROBE share their first id opens,
+# if it is sorted, with a run of more than _RUN_PROBE lines, and is read
+# by runs.  Relabeled graphs, whose runs are mostly 1 or 2 lines, almost
+# never pass this probe, so they pay nothing for the run path.
+_RUN_PROBE = 15
 
 
 class DimacsError(ValueError):
@@ -98,6 +109,16 @@ def _stream_blocks(chunks: Iterable[str]) -> Iterator[str]:
     tail = "".join(pending)
     if tail:
         yield tail
+
+
+def _decoded(chunks: Iterable[bytes]) -> Iterator[str]:
+    """The text of UTF-8 chunks, with undecodable bytes replaced as
+    bytes.decode does it, and a character whose bytes two chunks split
+    decoded whole."""
+    decode = codecs.getincrementaldecoder("utf-8")("replace").decode
+    for chunk in chunks:
+        yield decode(chunk)
+    yield decode(b"", True)
 
 
 class _Parse:
@@ -198,6 +219,14 @@ class _Parse:
         ``e`` fields are the ones at line starts: each line has exactly
         three fields.  Return False, having changed nothing, for any
         other block.
+
+        Sorted text, as write_dimacs writes it, comes in runs of lines
+        that share their first id.  A plain block whose first
+        _RUN_PROBE + 1 lines do (an O(1) probe: its first and its
+        _RUN_PROBE-th first fields are equal) is first offered to
+        read_runs.  Any other plain block, or one that read_runs turns
+        down, is read line by line in bulk: two int() calls, two id
+        lookups and two appends per line.
         """
         lines = block.count("\n") + (not block.endswith("\n"))
         if not (
@@ -211,13 +240,23 @@ class _Parse:
         fields = block.split()
         if len(fields) != 3 * lines or fields[::3].count("e") != lines:
             return False
+        firsts = fields[1::3]
+        seconds = fields[2::3]
+        del fields  # before the neighbor lists grow
+        if (
+            lines > _RUN_PROBE
+            and firsts[0] == firsts[_RUN_PROBE]
+            and self.read_runs(firsts, seconds)
+        ):
+            self.lineno += lines
+            return True
         try:
             # int() takes no letter in base 10, so the ids hold no "e".
-            us = list(map(int, fields[1::3]))
-            vs = list(map(int, fields[2::3]))
+            us = list(map(int, firsts))
+            vs = list(map(int, seconds))
         except ValueError:
             return False
-        del fields  # before the neighbor lists grow
+        del firsts, seconds
         # In order: each line is (u, v) with u < v, and each pair is above
         # the one before it, the last of the block before too.  Then no
         # line is a self-loop, us[0] is the lowest id and max(vs) the
@@ -249,6 +288,59 @@ class _Parse:
             adj[u].append(v)
             adj[v].append(u)
         self.lineno += lines
+        return True
+
+    def read_runs(self, firsts: list[str], seconds: list[str]) -> bool:
+        """Take a plain block by runs, given as the first and the second
+        id fields of its lines: a run is a stretch of lines whose first
+        fields are one string, found with one C-level comparison of
+        neighboring first fields.
+
+        The block must be in order, checked run by run: the heads (each
+        run's first id) rise, each run's second ids rise and start above
+        its head, and the block's first pair is above the last pair of
+        the block before it.  Then it is in order line by line, and
+        heads[0] is its lowest id and max(vs) its highest.  Each head
+        costs one int() and one id-table lookup, and each run one
+        extend of its head's neighbor list, so a neighbor list still
+        gets its entries in file order.  Return False, having changed
+        nothing, for any other block, such as one with an id spelled
+        two ways in a run (``5`` and ``05`` start two runs whose heads
+        do not rise).
+        """
+        last = self.last
+        if last is None:
+            return False
+        count = len(firsts)
+        starts = [0, *compress(range(1, count), map(ne, firsts[1:], firsts))]
+        try:
+            heads = list(map(int, map(firsts.__getitem__, starts)))
+            vs = list(map(int, seconds))
+        except ValueError:
+            return False
+        if (
+            not last < (heads[0], vs[0])
+            or not all(map(lt, heads, heads[1:]))
+            or not all(map(gt, map(vs.__getitem__, starts), heads))
+            # Every fall of the second ids is at a run's start.
+            or not set(compress(range(1, count), map(ge, vs, vs[1:]))).issubset(starts)
+        ):
+            return False
+        high = max(vs)
+        if heads[0] < 1 or high > self.n:
+            return False
+        self.last = (heads[-1], vs[-1])
+        ids = self.ids
+        if high >= len(ids):
+            ids.extend(range(len(ids) - 1, high))
+        vs = list(map(ids.__getitem__, vs))
+        adj = self.adj
+        ends = starts[1:] + [count]
+        for head, start, end in zip(map(ids.__getitem__, heads), starts, ends):
+            run = vs[start:end]
+            adj[head].extend(run)
+            for v in run:
+                adj[v].append(head)
         return True
 
 
@@ -336,18 +428,28 @@ def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
 
 
 def read_dimacs_file(source) -> Graph:
-    """Parse the DIMACS file at a path, or an open text stream, into a
-    Graph, reading _BLOCK_CHARS characters at a time.
+    """Parse the DIMACS file at a path, or an open stream, into a
+    Graph, reading _BLOCK_CHARS characters (or bytes) at a time.
 
     A path is opened as UTF-8, with undecodable bytes replaced; a
-    stream (any object with a ``read`` method, such as ``sys.stdin``)
-    is read from where it stands and left open.  The result, warnings
-    and errors are those of parse_dimacs on the same text, but the
-    whole text is never held, only one block of it at a time.
+    stream (any object with a ``read`` method, such as ``sys.stdin``
+    or a file opened in binary mode) is read from where it stands and
+    left open.  A binary stream is decoded the same way as it is read,
+    by an incremental decoder, so a character whose bytes straddle two
+    reads comes out whole.  The result, warnings and errors are those
+    of parse_dimacs on the same text or bytes, but the whole text is
+    never held, only one block of it at a time.
     """
     if hasattr(source, "read"):
         file = nullcontext(source)
     else:
         file = open(source, "r", encoding="utf-8", errors="replace")
     with file as fh:
-        return _parse(_stream_blocks(iter(partial(fh.read, _BLOCK_CHARS), "")))
+        read = partial(fh.read, _BLOCK_CHARS)
+        first = read()
+        # Read until an empty read of the stream's own type, and not
+        # again after one: a terminal's stdin would wait for another EOF.
+        chunks = chain((first,), iter(read, first[:0]) if first else ())
+        if not isinstance(first, str):
+            chunks = _decoded(chunks)
+        return _parse(_stream_blocks(chunks))

@@ -16,7 +16,10 @@ which reads the neighbors of each candidate it visits only until it has
 found the unselected ones it needs.  A node with no frontier left counts
 its uncovered edges from the degrees of the selected vertices, in
 O(k + their degree sum), and only a search that succeeds there with
-edges left pays one O(n + m) pass, to find their endpoints.
+edges left pays one O(n + m) pass, to find their endpoints.  A scan
+that has skipped a window of candidates without finding a center takes
+that count early: when it is 0, no edge is left to branch on, and the
+node is the success leaf without reading the rest of the candidates.
 
 The frontier is deterministic: its center is the first vertex in
 ascending id order with at least `need` unselected neighbors, so for
@@ -108,6 +111,13 @@ class SolveResult:
 # threshold, not a mask on the count: skipped over-budget children
 # advance the count without entering a node.
 _TIME_CHECK_INTERVAL = 256
+
+# How many candidates a node's frontier scan skips before it counts the
+# uncovered edges, to end at once a scan that has no edge left to find
+# (see BranchSolver._search).  The count costs O(k + the selection's
+# degree sum), about as much as reading a few dozen candidates, and is
+# reused if the node is a leaf.
+_SCAN_WINDOW = 128
 
 # Each strategy's rule as (need, branches).  Its frontier is a center v
 # followed by v's first `need` unselected neighbors in ascending order,
@@ -229,6 +239,20 @@ class BranchSolver:
             stats=stats,
         )
 
+    def _uncovered(self) -> int:
+        """The number of uncovered edges, as m minus the edges with an
+        endpoint in the selection S, which number sum(deg S) - |E(S)|,
+        where 2|E(S)| sums |N(s) & S| over S: a graph is simple.  It
+        costs O(k + sum(deg S))."""
+        trail = self._trail
+        selected = set(trail)
+        around = list(map(self._adj.__getitem__, trail))
+        return (
+            self.graph.edge_count
+            - sum(map(len, around))
+            + sum(map(len, map(selected.intersection, around))) // 2
+        )
+
     def _isolated_ends(self) -> list[int]:
         """The smaller endpoint of each uncovered edge, in one O(n + m)
         pass.
@@ -272,14 +296,12 @@ class BranchSolver:
 
         A node with no frontier left decides itself: its remaining
         uncovered edges are disjoint, and it succeeds iff the selection
-        plus one endpoint of each fits in k.  It counts them as m minus
-        the edges with an endpoint in the selection S, which number
-        sum(deg S) - |E(S)|, where 2|E(S)| sums |N(s) & S| over S: a
-        graph is simple.  That costs O(k + sum(deg S)).  Only a leaf
-        that succeeds with uncovered edges left pays the O(n + m) pass
-        that finds their endpoints for the certificate; under edge, any
-        unselected vertex with an unselected neighbor is a center, so a
-        leaf there has none left.
+        plus one endpoint of each fits in k.  It counts them from the
+        degrees of the selection S (see _uncovered), in O(k + sum(deg S)).
+        Only a leaf that succeeds with uncovered edges left pays the
+        O(n + m) pass that finds their endpoints for the certificate;
+        under edge, any unselected vertex with an unselected neighbor is
+        a center, so a leaf there has none left.
 
         Every entered node scans once.  The scan finds the next
         candidate (state byte 1) with bytearray.find, which runs in C,
@@ -291,6 +313,20 @@ class BranchSolver:
         unselected neighbors).  The parent's own scan found it so, and
         selecting vertices only removes unselected neighbors, so it
         still holds anywhere below the parent.
+
+        A scan that has skipped _SCAN_WINDOW candidates without finding
+        a center counts the uncovered edges there, as the leaf does.  At
+        0 no vertex has an unselected neighbor, so none is a center, and
+        the node is the leaf the rest of the scan would reach, which
+        succeeds with the trail as its certificate: after a search's
+        last selection, it skips reading every remaining candidate's
+        neighbors.  Otherwise the scan goes on to the end, and a node
+        that turns out to be a leaf reuses the count.  Either way the
+        node, its frontier and the tree are those of the unbounded scan.
+        The window is one of skipped candidates, not of ids, so the
+        count is taken only after work that outweighs it, also where
+        candidates lie far apart, and a scan that finds its center at
+        once pays one assignment for it.
         """
         # A path frontier is (v, u, w), with u unset (-1) until the scan
         # meets v's first unselected neighbor; an edge frontier is
@@ -302,9 +338,10 @@ class BranchSolver:
         cap = len(plans) - 1
         n_branches = len(branches)
         adj = self._adj
-        m = self.graph.edge_count
         state = self._state
         find = state.find
+        window = _SCAN_WINDOW
+        uncovered = self._uncovered
         unselected = self._unselected
         trail = self._trail
         select = trail.append
@@ -325,6 +362,7 @@ class BranchSolver:
                 next_check = nodes + _TIME_CHECK_INTERVAL
                 if time.perf_counter() > deadline:
                     raise SolveTimeout(f"time limit exceeded after {nodes} nodes")
+            budget = window
             p = find(1, start)
             while p >= 0:
                 u = unset
@@ -335,17 +373,21 @@ class BranchSolver:
                         u = w
                 else:
                     p = find(1, p + 1)
+                    budget -= 1
+                    if not budget:
+                        # A window of candidates and no center: with no
+                        # edge left uncovered there is none anywhere, so
+                        # this is the leaf the rest of the scan would reach.
+                        left = uncovered()
+                        if not left:
+                            p = -1
                     continue
                 break
             found = False
             if p < 0:
-                selected = set(trail)
-                around = list(map(adj.__getitem__, trail))
-                left = (
-                    m
-                    - sum(map(len, around))
-                    + sum(map(len, map(selected.intersection, around))) // 2
-                )
+                if budget > 0:
+                    # The scan ended inside its window, without a count.
+                    left = uncovered()
                 if size + left <= k:
                     found = True
                     if left:

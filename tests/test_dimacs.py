@@ -610,3 +610,150 @@ def test_read_file_equals_parse_of_its_text(monkeypatch, tmp_path):
             assert _outcome(read_dimacs_file, path) == expected, (block, text)
             assert _outcome(read_dimacs_file, io.StringIO(text)) == expected, (
                 block, text)
+
+
+def test_read_binary_stream_equals_parse_of_its_bytes(monkeypatch):
+    # a stream opened in binary mode is decoded as parse_dimacs decodes
+    # bytes, even when a character's bytes straddle two reads
+    written = write_dimacs(gen_gnm(12, 20, seed=6), comments=("é € 😀",))
+    datas = [
+        b"p edge 2 1\ne 1 2\n",
+        written.encode(),
+        written.replace("\n", "\r\n").encode(),
+        "c ü\xa0ß\np edge 3 1\ne 1 2\ne 2 2\n".encode(),
+        b"c \xff\xc3\np edge 2 1\ne 1 2\n",  # undecodable bytes
+        b"p edge 2 1\ne 1 \xe2\x82\n",  # a cut character on an edge line
+        "p edge 2 1\ne 1 2\nc 😀".encode(),  # no final newline
+        b"",
+    ]
+    for block in (1, 2, 3, 5, 64, dimacs._BLOCK_CHARS):
+        monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+        for data in datas:
+            assert _outcome(read_dimacs_file, io.BytesIO(data)) == _outcome(
+                parse_dimacs, data), (block, data)
+
+
+@pytest.mark.parametrize("empty", ["", b""])
+def test_stream_is_not_read_past_its_end(empty):
+    # one empty read ends the stream: a terminal's stdin would wait for
+    # a second end of file
+    class Stream:
+        reads = 0
+
+        def read(self, size):
+            self.reads += 1
+            return empty
+
+    stream = Stream()
+    assert _outcome(read_dimacs_file, stream) == (("missing problem line", None), [])
+    assert stream.reads == 1
+
+def _run_shaped_texts(block: int) -> list[str]:
+    """Texts sorted as write_dimacs writes planted graphs, whose lines
+    come in long runs that share their first id (one run per cover
+    vertex); copies of them with one line spoiled inside a run, at a
+    run's first or last line, or at the start of a block of the given
+    size; and runs of ids out of range."""
+    rng = random.Random(2121)
+    texts = [write_dimacs(gen_planted(2000, 5, 5000, 11).graph)]
+    for n, k, extra in ((200, 3, 300), (90, 4, 200)):
+        text = write_dimacs(gen_planted(n, k, extra, rng.randrange(2**32)).graph)
+        texts.append(text)
+        head, body = text.split("\n", 1)
+        lines = body.splitlines()
+        firsts = [line.split()[1] for line in lines]
+        inside = [i for i in range(1, len(lines) - 1)
+                  if firsts[i - 1] == firsts[i] == firsts[i + 1]]
+        run_firsts = [i for i in range(1, len(lines) - 1)
+                      if firsts[i - 1] != firsts[i] == firsts[i + 1]]
+        run_lasts = [i for i in range(1, len(lines) - 1)
+                     if firsts[i - 1] == firsts[i] != firsts[i + 1]]
+        spoils = []
+        for _ in range(3):
+            for kind in ("0u", "+u", "0v", "reversed", "reversed again",
+                         "repeated", "self-loop", "out of range", "zero",
+                         "lower head"):
+                i = rng.choice(inside)
+                _, u, v = lines[i].split()
+                spoils.append((i, {
+                    "0u": [f"e 0{u} {v}"], "+u": [f"e +{u} {v}"],
+                    "0v": [f"e {u} 0{v}"], "reversed": [f"e {v} {u}"],
+                    "reversed again": [lines[i], f"e {v} {u}"],
+                    "repeated": [lines[i], lines[i]],
+                    "self-loop": [f"e {u} {u}"],
+                    "out of range": [f"e {u} {n + 1}"], "zero": [f"e {u} 0"],
+                    "lower head": [lines[i], f"e {int(u) - 1 or 1} {v}"],
+                }[kind]))
+        for i in run_firsts:
+            u = lines[i].split()[1]
+            spoils += [(i, [f"e {u} {int(u) - 1}"]), (i, [f"e {u} 0"])]
+        for i in run_lasts:
+            spoils.append((i, [f"e {lines[i].split()[1]} {n + 1}"]))
+        # a block that starts with the line before it, or reversed
+        sizes = [len(b) for b in dimacs._stream_blocks(
+            text[j:j + block] for j in range(0, len(text), block))]
+        if len(sizes) > 2:
+            cut = text.count("\n", 0, sizes[0] + sizes[1]) - 1  # block 3's first line
+            _, u, v = lines[cut - 1].split()
+            spoils += [(cut, [f"e {u} {v}", lines[cut]]),
+                       (cut, [f"e {v} {u}", lines[cut]])]
+        texts += ["\n".join([head, *lines[:i], *spoiled, *lines[i + 1:]]) + "\n"
+                  for i, spoiled in spoils]
+    texts += [
+        "p edge 20 19\n" + "".join(f"e 0 {v}\n" for v in range(1, 20)),
+        "p edge 20 19\n" + "".join(f"e -1 {v}\n" for v in range(1, 20)),
+        "p edge 19 19\n" + "".join(f"e 1 {v}\n" for v in range(2, 21)),
+    ]
+    return texts
+
+
+def test_run_shaped_text_equals_per_line_reference(monkeypatch):
+    # read by runs or not, the same Graph, warnings, and error message
+    # and line as the plain per-line parse; at 200 characters a block
+    # holds about 20 lines, so runs span many blocks
+    for block in (dimacs._BLOCK_CHARS, 200):
+        texts = _run_shaped_texts(block)
+        monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+        for text in texts:
+            assert _outcome(parse_dimacs, text) == _outcome(_reference_parse, text), (
+                block, text)
+
+
+def _edge_blocks_by_runs(monkeypatch, text: str) -> list[bool | None]:
+    """For each block parse_dimacs hands the bulk reader, whether
+    read_runs took it (None when it was not asked)."""
+    taken: list[bool | None] = []
+    read_block = dimacs._Parse.read_block
+    read_runs = dimacs._Parse.read_runs
+
+    def block_spy(self, block):
+        taken.append(None)
+        return read_block(self, block)
+
+    def runs_spy(self, firsts, seconds):
+        taken[-1] = read_runs(self, firsts, seconds)
+        return taken[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimacs._Parse, "read_block", block_spy)
+        patch.setattr(dimacs._Parse, "read_runs", runs_spy)
+        parse_dimacs(text)
+    return taken
+
+
+def test_runs_read_sorted_planted_text_and_spare_relabeled_text(monkeypatch):
+    # every edge block of a canonical planted text opens with a long run
+    # and is read by runs; a relabeled one, whose runs are mostly one or
+    # two lines, never gets past the probe
+    for seed in (1, 2, 3):
+        text = write_dimacs(gen_planted(2000, 5, 5000, seed).graph)
+        taken = _edge_blocks_by_runs(monkeypatch, text)
+        assert len(taken) >= 3 and all(taken), (seed, taken)
+    for n, k in ((500, 7), (1250, 9)):
+        for seed in (1, 2, 3):
+            inst = gen_planted(n, k, n // 2, seed)
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            g = Graph(n, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
+            taken = _edge_blocks_by_runs(monkeypatch, write_dimacs(g))
+            assert taken and set(taken) == {None}, (n, k, seed)

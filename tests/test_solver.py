@@ -453,6 +453,64 @@ def test_only_a_successful_leaf_with_edges_left_finds_their_ends(monkeypatch):
         assert r.certificate == frozenset({0, 2, 4})
 
 
+def _window_outcomes(graphs):
+    """Each decide's decision, certificate and counters, for every
+    strategy and every budget up to n, on each graph."""
+    return [
+        (r.decision, r.certificate, r.stats.nodes_expanded, r.stats.max_depth,
+         r.stats.triplet_scans)
+        for g in graphs
+        for strategy in ALL_STRATEGIES
+        for k in range(g.vertex_count + 1)
+        for r in [decide_vc(g, k, strategy)]
+    ]
+
+
+# Four triangles on hub 0 and a path 10-11-12: once p3 selects 0, the
+# eight candidates 1..8 have one unselected neighbor each, and the one
+# center, 11, lies past a window of 1, 2 or 7 of them while edges remain.
+_CENTER_PAST_THE_WINDOW = Graph(
+    13, [(0, i) for i in range(1, 9)] + [(i, i + 1) for i in range(1, 9, 2)]
+    + [(10, 11), (11, 12)])
+
+
+def test_scan_window_changes_no_tree(monkeypatch):
+    # a scan that skips a window of candidates counts the uncovered
+    # edges early: at 0 its node is the success leaf, otherwise it
+    # resumes; at any window the trees are those of the default
+    counts = []
+    uncovered = BranchSolver._uncovered
+
+    def spy(self):
+        counts.append(uncovered(self))
+        return counts[-1]
+
+    monkeypatch.setattr(BranchSolver, "_uncovered", spy)
+    atlas = [Graph(g.number_of_nodes(), list(g.edges()))
+             for g in networkx.graph_atlas_g()[1::9]]
+    graphs = atlas + [_CENTER_PAST_THE_WINDOW]
+    expected = _window_outcomes(graphs)
+    counts.clear()
+    decide_vc(_CENTER_PAST_THE_WINDOW, 6, Strategy.CLASSIC_P3)
+    assert counts == [4]  # the leaf's own count: the four triangle edges
+    for window in (1, 2, 7):
+        monkeypatch.setattr(solver_module, "_SCAN_WINDOW", window)
+        assert _window_outcomes(graphs) == expected, window
+        counts.clear()
+        decide_vc(_CENTER_PAST_THE_WINDOW, 6, Strategy.CLASSIC_P3)
+        assert counts == [6, 4], window  # resumed below the root
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_graphs(9))
+def test_scan_window_changes_no_tree_on_random_graphs(g):
+    expected = _window_outcomes([g])
+    for window in (1, 2, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_module, "_SCAN_WINDOW", window)
+            assert _window_outcomes([g]) == expected, window
+
+
 def test_strategies_agree_on_planted_instances():
     for seed in range(5):
         inst = gen_planted(60, 5, 30, seed=seed)
