@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from statistics import linear_regression, median
 from typing import Iterable, Optional, Sequence
 
-from .generate import gen_planted
+from .generate import _check_edge_ratio, gen_planted
 from .graph import GraphError
-from .solver import BranchSolver, SolveTimeout, Strategy
+from .solver import BranchSolver, SolveTimeout, Strategy, _check_time_limit
 
 # The CSV columns in order, each a BenchRecord field; a field left out
 # of this header never reaches the CSV.
@@ -73,20 +73,6 @@ class BenchConfig:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         _check_time_limit(self.time_limit, "time_limit")
-
-
-def _check_edge_ratio(ratio: float, n: int, name: str) -> int:
-    """round(ratio * n), the extra edge count, checked to be finite."""
-    if not math.isfinite(ratio * n):
-        raise ValueError(f"{name} {ratio} times n={n} is not a finite edge count")
-    return round(ratio * n)
-
-
-def _check_time_limit(seconds: Optional[float], name: str) -> Optional[float]:
-    """seconds, checked: None for no limit, else finite and > 0."""
-    if seconds is not None and not 0 < seconds < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {seconds}")
-    return seconds
 
 
 @dataclass(frozen=True, kw_only=True)

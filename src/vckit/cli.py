@@ -16,40 +16,28 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from .bench import (
-    BenchConfig,
-    _check_edge_ratio,
-    _check_time_limit,
-    estimate_branching_factor,
-    run_benchmark,
-    write_report,
-)
+# What reading, generating and writing a graph need is imported here; the
+# solver, the oracle and the benchmark harness load in the commands that
+# use them, so importing this module does not pay for them.  These three
+# stay here: perfbench/spans.py wraps functions only in modules already
+# loaded when it installs, right after importing this module.
 from .dimacs import read_dimacs_file, write_dimacs
-from .generate import gen_planted
+from .generate import _check_edge_ratio, gen_planted
 from .graph import Graph
-from .oracle import verify_cover
-from .solver import (
-    SolveStats,
-    SolveTimeout,
-    Strategy,
-    decide_vc,
-    min_vertex_cover,
-)
 
-_STRATEGY_CHOICES = [s.value for s in Strategy]
+if TYPE_CHECKING:
+    from .solver import SolveStats
 
-# The sweep flags of `vckit bench` as (flag, BenchConfig field, help).  A
-# given flag's text, read by _parse_config_value, sets its field.
+# The sweep flags of `vckit bench` as (flag, BenchConfig field, help, where
+# {strategies} stands for the strategy names).  A given flag's text, read
+# by _parse_config_value, sets its field.
 _BENCH_FLAGS = (
     ("--n", "n_values", "comma-separated n values"),
     ("--k", "k_values", "comma-separated k values"),
     ("--seed", "seeds", "comma-separated seeds"),
-    (
-        "--strategy", "strategies",
-        f"comma-separated strategies from {{{','.join(_STRATEGY_CHOICES)}}}",
-    ),
+    ("--strategy", "strategies", "comma-separated strategies from {strategies}"),
     ("--extra-edge-ratio", "extra_edge_ratio", "extra edges as a fraction of n"),
     ("--repetitions", "repetitions", "solves per cell; the median time is kept"),
     ("--time-limit", "time_limit", "per-solve time limit in seconds, or none"),
@@ -59,6 +47,8 @@ _BENCH_FLAGS = (
 def _parse_config_value(key: str, value: str):
     """The value of BenchConfig field key given by a sweep flag's text.
     Lists split on commas and whitespace; time_limit accepts 'none'."""
+    from .solver import Strategy
+
     parts = value.replace(",", " ").split()
     if key in ("n_values", "k_values", "seeds"):
         return [int(p) for p in parts]
@@ -110,6 +100,10 @@ def _print_stats_text(stats: SolveStats) -> None:
 
 
 def _cmd_decide(args) -> int:
+    from dataclasses import asdict
+
+    from .solver import _check_time_limit, decide_vc
+
     time_limit = _check_time_limit(args.time_limit, "--time-limit")
     g = _read_graph(args.graph)
     result = decide_vc(g, args.k, args.strategy, time_limit=time_limit)
@@ -131,6 +125,10 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from dataclasses import asdict
+
+    from .solver import _check_time_limit, min_vertex_cover
+
     time_limit = _check_time_limit(args.time_limit, "--time-limit")
     g = _read_graph(args.graph)
     size, cover, stats = min_vertex_cover(g, args.strategy, time_limit=time_limit)
@@ -173,6 +171,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import verify_cover
+
     if args.graph == "-" and args.cover == "-":
         # The graph would read all of stdin and leave the cover empty.
         raise ValueError("the graph and the cover cannot both be read from stdin")
@@ -187,6 +187,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BenchConfig, estimate_branching_factor, run_benchmark, write_report
+
     config = BenchConfig()
     for flag, key, _ in _BENCH_FLAGS:
         text = getattr(args, key)
@@ -222,6 +224,9 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .solver import Strategy
+
+    strategies = [s.value for s in Strategy]
     parser = argparse.ArgumentParser(
         prog="vckit",
         description="Exact minimum vertex cover: decide, solve, generate, verify, benchmark.",
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_strategy(p):
         p.add_argument(
             "--strategy",
-            choices=_STRATEGY_CHOICES,
+            choices=strategies,
             default=Strategy.PAPER_FIVE.value,
             help="branching strategy (default: paper5)",
         )
@@ -293,20 +298,29 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run a benchmark sweep over planted instances"
     )
     for flag, key, help_text in _BENCH_FLAGS:
-        p_bench.add_argument(flag, dest=key, default=None, help=help_text)
+        p_bench.add_argument(
+            flag, dest=key, default=None,
+            help=help_text.format(strategies=f"{{{','.join(strategies)}}}"),
+        )
     p_bench.add_argument("--output", default=None, help="write the CSV report here")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 
 
-# Built once per process: parse_args leaves the parser unchanged and puts
-# every value, defaults included, in a fresh namespace per call.
-_PARSER = build_parser()
+# Built on the first main() call, then kept for the process: parse_args
+# leaves the parser unchanged and puts every value, defaults included, in
+# a fresh namespace per call.
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    from .solver import SolveTimeout
+
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, SolveTimeout) as exc:

@@ -71,7 +71,8 @@ _ODD_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 # A plain block whose lines 0 and _RUN_PROBE share their first id opens,
 # if it is sorted, with a run of more than _RUN_PROBE lines, and is read
 # by runs.  Relabeled graphs, whose runs are mostly 1 or 2 lines, almost
-# never pass this probe, so they pay nothing for the run path.
+# never pass this probe, so they pay nothing for the run path; read_runs
+# turns down the few blocks of theirs that do, once it has found the runs.
 _RUN_PROBE = 15
 
 
@@ -304,15 +305,21 @@ class _Parse:
         costs one int() and one id-table lookup, and each run one
         extend of its head's neighbor list, so a neighbor list still
         gets its entries in file order.  Return False, having changed
-        nothing, for any other block, such as one with an id spelled
-        two ways in a run (``5`` and ``05`` start two runs whose heads
-        do not rise).
+        nothing, for a block of more runs than a quarter of its lines,
+        which costs less line by line, and for any other block, such as
+        one with an id spelled two ways in a run (``5`` and ``05`` start
+        two runs whose heads do not rise).
         """
         last = self.last
         if last is None:
             return False
         count = len(firsts)
         starts = [0, *compress(range(1, count), map(ne, firsts[1:], firsts))]
+        # Mostly short runs, as in a relabeled graph that opens with a
+        # hub's long run: a Python step per run costs more than the bulk
+        # path's C-level pass per line.
+        if 4 * len(starts) > count:
+            return False
         try:
             heads = list(map(int, map(firsts.__getitem__, starts)))
             vs = list(map(int, seconds))

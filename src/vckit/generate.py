@@ -12,10 +12,10 @@ instances, which guards the rule, the draw order and the writer.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import dimacs
 from .graph import Graph, GraphError
@@ -23,8 +23,7 @@ from .graph import Graph, GraphError
 _SEED_LIMIT = 2**64
 
 
-@dataclass(frozen=True)
-class PlantedInstance:
+class PlantedInstance(NamedTuple):
     """A generated graph whose minimum vertex cover size is known.
 
     planted_cover is an actual minimum cover of the graph, so
@@ -35,6 +34,13 @@ class PlantedInstance:
     planted_k: int
     planted_cover: frozenset[int]
     seed: int
+
+
+def _check_edge_ratio(ratio: float, n: int, name: str) -> int:
+    """round(ratio * n), the extra edge count, checked to be finite."""
+    if not math.isfinite(ratio * n):
+        raise ValueError(f"{name} {ratio} times n={n} is not a finite edge count")
+    return round(ratio * n)
 
 
 def _check_n_and_seed(n: int, seed: int) -> None:

@@ -155,6 +155,13 @@ def _plans(branches: tuple[tuple[int, ...], ...]) -> tuple:
 _PLANS = {strategy: _plans(branches) for strategy, (_, branches) in _RULES.items()}
 
 
+def _check_time_limit(seconds: Optional[float], name: str) -> Optional[float]:
+    """seconds, checked: None for no limit, else finite and > 0."""
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {seconds}")
+    return seconds
+
+
 def _deadline(time_limit: float | None) -> float | None:
     """The perf_counter() reading at which time_limit seconds from now
     run out, or None for no limit."""

@@ -23,7 +23,7 @@ from vckit import (
     verify_cover,
     write_dimacs,
 )
-from vckit import cli, dimacs
+from vckit import cli, dimacs, solver
 from vckit.cli import main
 from vckit.dimacs import MAX_VERTICES
 
@@ -315,7 +315,7 @@ def test_bench_flags_parse_like_config_lines(monkeypatch, capsys):
         configs.append(config)
         return run_benchmark(config)
 
-    monkeypatch.setattr(cli, "run_benchmark", recording)
+    monkeypatch.setattr("vckit.bench.run_benchmark", recording)
     assert main([
         "bench", "--n", "40", "--k", "2, 3", "--seed", "1",
         "--strategy", "p3 edge", "--repetitions", "2",
@@ -446,13 +446,13 @@ def test_json_flag_does_not_carry_over(p3_file, capsys):
 
 def test_strategy_flag_does_not_carry_over(p3_file, monkeypatch, capsys):
     seen = []
-    real = cli.min_vertex_cover
+    real = solver.min_vertex_cover
 
     def recording(g, strategy, time_limit=None):
         seen.append(strategy)
         return real(g, strategy, time_limit=time_limit)
 
-    monkeypatch.setattr(cli, "min_vertex_cover", recording)
+    monkeypatch.setattr(solver, "min_vertex_cover", recording)
     assert main(["solve", p3_file, "--strategy", "edge"]) == 0
     assert main(["solve", p3_file]) == 0
     assert seen == ["edge", "paper5"]
@@ -460,7 +460,8 @@ def test_strategy_flag_does_not_carry_over(p3_file, monkeypatch, capsys):
 
 
 def test_console_module_in_a_fresh_interpreter():
-    # import-time parser, the stdin path and the __main__ block, end to end
+    # the parser built on first use, the stdin path and the __main__
+    # block, end to end
     src = str(Path(vckit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -476,3 +477,50 @@ def test_console_module_in_a_fresh_interpreter():
     assert payload["decision"] is True
     assert payload["certificate"] == [1]
     assert verify_cover(path_graph(3), payload["certificate"])
+
+
+# Run in a fresh interpreter with the graph file as its argument: the
+# modules that importing vckit.cli adds, those that a later decide adds,
+# and the public names that dir(vckit) leaves out.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import vckit.cli
+on_import = set(sys.modules) - before
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = vckit.cli.main(["decide", sys.argv[1], "--k", "1"])
+on_decide = set(sys.modules) - before
+import vckit
+print(json.dumps({
+    "code": code,
+    "on_import": sorted(on_import),
+    "on_decide": sorted(on_decide),
+    "undir": sorted(set(vckit.__all__) - set(dir(vckit))),
+}))
+"""
+
+
+def test_import_loads_only_what_a_graph_needs(p3_file):
+    # the CLI module loads the graph, DIMACS and generator layers; the
+    # solver comes with the first decide, the harness only with bench
+    src = str(Path(vckit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, p3_file],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    on_import, on_decide = set(seen["on_import"]), set(seen["on_decide"])
+    assert {"vckit.generate", "vckit.dimacs", "vckit.graph"} <= on_import
+    assert on_import.isdisjoint(
+        {"vckit.bench", "vckit.solver", "vckit.oracle", "dataclasses", "statistics"}
+    ), sorted(on_import)
+    assert seen["code"] == 0
+    assert "vckit.solver" in on_decide
+    assert on_decide.isdisjoint({"vckit.bench", "statistics"}), sorted(on_decide)
+    assert seen["undir"] == []

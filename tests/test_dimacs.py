@@ -757,3 +757,15 @@ def test_runs_read_sorted_planted_text_and_spare_relabeled_text(monkeypatch):
             g = Graph(n, [(perm[u], perm[v]) for u, v in inst.graph.edges()])
             taken = _edge_blocks_by_runs(monkeypatch, write_dimacs(g))
             assert taken and set(taken) == {None}, (n, k, seed)
+
+
+def test_runs_spare_a_block_of_short_runs_behind_a_long_one(monkeypatch):
+    # a sorted block that opens with one hub's run of 20 lines passes the
+    # probe, but goes on in runs of one or two lines, as a relabeled graph
+    # can: read_runs turns it down and it is read line by line in bulk
+    edges = [(1, v) for v in range(2, 22)]
+    for u in range(22, 200):
+        edges += [(u, u + 1), (u, u + 2)] if u % 2 else [(u, u + 1)]
+    text = f"p edge 201 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    assert _edge_blocks_by_runs(monkeypatch, text) == [False]
+    assert parse_dimacs(text) == _reference_parse(text)
