@@ -10,9 +10,8 @@ The CSV is the integration point for any downstream analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from statistics import linear_regression, median
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .generate import _check_edge_ratio, gen_planted
 from .graph import GraphError
@@ -25,8 +24,7 @@ CSV_HEADER = "n,k_input,tau,strategy,decision,nodes_expanded,max_depth,time_ms,s
 _STRATEGY_ORDER = tuple(Strategy)  # paper5, p3, edge
 
 
-@dataclass
-class BenchConfig:
+class BenchConfig(NamedTuple):
     """One benchmark sweep: the cartesian product of the lists below.
 
     extra_edge_ratio scales with n (extra_edges = round(ratio * n)), so
@@ -39,11 +37,11 @@ class BenchConfig:
     BranchSolver accepts; validate() rejects an unknown name.
     """
 
-    n_values: list[int] = field(default_factory=lambda: [1000, 2000, 5000, 10000])
-    k_values: list[int] = field(default_factory=lambda: [6, 8, 10, 12])
+    n_values: Sequence[int] = (1000, 2000, 5000, 10000)
+    k_values: Sequence[int] = (6, 8, 10, 12)
     extra_edge_ratio: float = 0.5
-    strategies: tuple[Strategy | str, ...] = _STRATEGY_ORDER
-    seeds: list[int] = field(default_factory=lambda: [1])
+    strategies: Sequence[Strategy | str] = _STRATEGY_ORDER
+    seeds: Sequence[int] = (1,)
     repetitions: int = 1
     time_limit: Optional[float] = 60.0
 
@@ -75,8 +73,7 @@ class BenchConfig:
         _check_time_limit(self.time_limit, "time_limit")
 
 
-@dataclass(frozen=True, kw_only=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One (n, k, strategy, seed) cell of a sweep.
 
     A measurement a record lacks is None.  A timed-out record keeps its
@@ -87,13 +84,13 @@ class BenchRecord:
 
     n: int
     k_input: int
-    tau: Optional[int] = None
     strategy: Strategy
+    seed: int
+    tau: Optional[int] = None
     decision: Optional[bool] = None
     nodes_expanded: Optional[int] = None
     max_depth: Optional[int] = None
     time_ms: Optional[float] = None
-    seed: int
     timed_out: bool = False
     error: Optional[str] = None
 
@@ -159,8 +156,7 @@ def _solve_cell(instance, strategy: Strategy, config: BenchConfig) -> BenchRecor
     )
 
 
-@dataclass(frozen=True)
-class BranchingFit:
+class BranchingFit(NamedTuple):
     """Least-squares fit of log(nodes_expanded) against k for one
     (strategy, n) group; base = exp(slope) estimates the branching
     factor, log_rmse the fit residual in log space."""

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from typing import TYPE_CHECKING
 
 # What reading, generating and writing a graph need is imported here; the
 # solver, the oracle and the benchmark harness load in the commands that
@@ -26,41 +25,6 @@ from typing import TYPE_CHECKING
 from .dimacs import read_dimacs_file, write_dimacs
 from .generate import _check_edge_ratio, gen_planted
 from .graph import Graph
-
-if TYPE_CHECKING:
-    from .solver import SolveStats
-
-# The sweep flags of `vckit bench` as (flag, BenchConfig field, help, where
-# {strategies} stands for the strategy names).  A given flag's text, read
-# by _parse_config_value, sets its field.
-_BENCH_FLAGS = (
-    ("--n", "n_values", "comma-separated n values"),
-    ("--k", "k_values", "comma-separated k values"),
-    ("--seed", "seeds", "comma-separated seeds"),
-    ("--strategy", "strategies", "comma-separated strategies from {strategies}"),
-    ("--extra-edge-ratio", "extra_edge_ratio", "extra edges as a fraction of n"),
-    ("--repetitions", "repetitions", "solves per cell; the median time is kept"),
-    ("--time-limit", "time_limit", "per-solve time limit in seconds, or none"),
-)
-
-
-def _parse_config_value(key: str, value: str):
-    """The value of BenchConfig field key given by a sweep flag's text.
-    Lists split on commas and whitespace; time_limit accepts 'none'."""
-    from .solver import Strategy
-
-    parts = value.replace(",", " ").split()
-    if key in ("n_values", "k_values", "seeds"):
-        return [int(p) for p in parts]
-    if key == "strategies":
-        return tuple(Strategy(p) for p in parts)
-    if key == "extra_edge_ratio":
-        return float(value)
-    if key == "repetitions":
-        return int(value)
-    if key == "time_limit":
-        return None if value.lower() == "none" else float(value)
-    raise AssertionError(f"unhandled key {key}")
 
 
 def _read_graph(path: str) -> Graph:
@@ -92,7 +56,7 @@ def _read_cover(path: str) -> list[int]:
     return ids
 
 
-def _print_stats_text(stats: SolveStats) -> None:
+def _print_stats_text(stats) -> None:
     print(f"nodes_expanded: {stats.nodes_expanded}")
     print(f"max_depth: {stats.max_depth}")
     print(f"triplet_scans: {stats.triplet_scans}")
@@ -100,8 +64,6 @@ def _print_stats_text(stats: SolveStats) -> None:
 
 
 def _cmd_decide(args) -> int:
-    from dataclasses import asdict
-
     from .solver import _check_time_limit, decide_vc
 
     time_limit = _check_time_limit(args.time_limit, "--time-limit")
@@ -113,7 +75,7 @@ def _cmd_decide(args) -> int:
             "certificate": (
                 None if result.certificate is None else sorted(result.certificate)
             ),
-            "stats": asdict(result.stats),
+            "stats": result.stats._asdict(),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -125,8 +87,6 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from dataclasses import asdict
-
     from .solver import _check_time_limit, min_vertex_cover
 
     time_limit = _check_time_limit(args.time_limit, "--time-limit")
@@ -136,7 +96,7 @@ def _cmd_solve(args) -> int:
         payload = {
             "size": size,
             "cover": sorted(cover),
-            "stats": asdict(stats),
+            "stats": stats._asdict(),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -189,14 +149,10 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import BenchConfig, estimate_branching_factor, run_benchmark, write_report
 
-    config = BenchConfig()
-    for flag, key, _ in _BENCH_FLAGS:
-        text = getattr(args, key)
-        if text is not None:
-            try:
-                setattr(config, key, _parse_config_value(key, text))
-            except ValueError as exc:
-                raise ValueError(f"{flag}: {exc}") from None
+    # A sweep flag left out is not in args, so its field keeps its default.
+    config = BenchConfig(**{
+        key: value for key, value in vars(args).items() if key in BenchConfig._fields
+    })
     config.validate()
 
     # Opened before the sweep, so a bad output path fails before any solve.
@@ -297,10 +253,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="run a benchmark sweep over planted instances"
     )
-    for flag, key, help_text in _BENCH_FLAGS:
+    # Each sweep flag sets the BenchConfig field named by its dest; lists
+    # split on commas or whitespace.
+    def int_list(text: str) -> list[int]:
+        return [int(p) for p in text.replace(",", " ").split()]
+
+    def strategy_list(text: str) -> tuple[Strategy, ...]:
+        try:
+            return tuple(map(Strategy, text.replace(",", " ").split()))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    def seconds(text: str) -> float | None:
+        return None if text.lower() == "none" else float(text)
+
+    for flag, key, convert, help_text in (
+        ("--n", "n_values", int_list, "comma-separated n values"),
+        ("--k", "k_values", int_list, "comma-separated k values"),
+        ("--seed", "seeds", int_list, "comma-separated seeds"),
+        ("--strategy", "strategies", strategy_list,
+         f"comma-separated strategies from {{{','.join(strategies)}}}"),
+        ("--extra-edge-ratio", "extra_edge_ratio", float, "extra edges as a fraction of n"),
+        ("--repetitions", "repetitions", int, "solves per cell; the median time is kept"),
+        ("--time-limit", "time_limit", seconds, "per-solve time limit in seconds, or none"),
+    ):
         p_bench.add_argument(
-            flag, dest=key, default=None,
-            help=help_text.format(strategies=f"{{{','.join(strategies)}}}"),
+            flag, dest=key, type=convert, default=argparse.SUPPRESS, help=help_text
         )
     p_bench.add_argument("--output", default=None, help="write the CSV report here")
     p_bench.set_defaults(func=_cmd_bench)
@@ -315,16 +293,14 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
-    from .solver import SolveTimeout
-
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, SolveTimeout) as exc:
-        # DimacsError and GraphError are ValueErrors
+    except (ValueError, OSError) as exc:
+        # DimacsError and GraphError are ValueErrors, SolveTimeout an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

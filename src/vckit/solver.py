@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from typing import NamedTuple, Optional
@@ -66,13 +65,12 @@ class Strategy(str, Enum):
     EDGE_BRANCH = "edge"
 
 
-class SolveTimeout(Exception):
+class SolveTimeout(TimeoutError):
     """Raised when a decide() call exceeds its time limit."""
 
 
-@dataclass
-class SolveStats:
-    """Search-effort counters for one decide() call (or a merged run).
+class SolveStats(NamedTuple):
+    """Search-effort counters for one decide() call.
 
     nodes_expanded counts every child the branching rule makes, including
     over-budget children that are counted but never entered.
@@ -85,16 +83,8 @@ class SolveStats:
     triplet_scans: int = 0
     elapsed_ms: float = 0.0
 
-    def merge(self, other: "SolveStats") -> None:
-        """Fold another run into this one: counts add, depth maxes."""
-        self.nodes_expanded += other.nodes_expanded
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.triplet_scans += other.triplet_scans
-        self.elapsed_ms += other.elapsed_ms
 
-
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a decide() call.
 
     certificate is a verified-size cover witnessing a true decision
@@ -562,22 +552,25 @@ def min_vertex_cover(
 
     Starts at the LP lower bound (lp_lower_bound) and asks a
     BranchSolver for each k until the first success, which is exactly
-    tau(g); the returned cover is re-verified with verify_cover.  Stats
-    are merged across probes.  On a planted graph the bound is already
-    tau, so the first probe is the last.  time_limit (seconds) spans
-    the whole computation, bound included; NaN raises ValueError.
+    tau(g); the returned cover is re-verified with verify_cover.  The
+    stats add up the probes' counts and elapsed_ms and keep the deepest
+    max_depth.  On a planted graph the bound is already tau, so the
+    first probe is the last.  time_limit (seconds) spans the whole
+    computation, bound included; NaN raises ValueError.
     """
     deadline = _deadline(time_limit)
     solver = BranchSolver(g, strategy)
-    total = SolveStats()
+    probes: list[SolveStats] = []
     k = lp_lower_bound(g)
     while True:
         remaining = None if deadline is None else deadline - time.perf_counter()
         result = solver.decide(k, time_limit=remaining)
-        total.merge(result.stats)
+        probes.append(result.stats)
         if result.decision:
             cover = result.certificate
             if cover is None or len(cover) != k or not verify_cover(g, cover):
                 raise AssertionError("internal error: bad certificate at tau")
-            return MinCoverResult(size=k, cover=cover, stats=total)
+            nodes, depths, scans, elapsed = zip(*probes)
+            stats = SolveStats(sum(nodes), max(depths), sum(scans), sum(elapsed))
+            return MinCoverResult(size=k, cover=cover, stats=stats)
         k += 1

@@ -160,6 +160,39 @@ def test_config_validation():
     BenchConfig().validate()
 
 
+def test_config_rejects_no_strategies():
+    with pytest.raises(ValueError, match="strategies must be non-empty"):
+        BenchConfig(strategies=()).validate()
+
+
+def test_sweep_of_timed_out_solves():
+    # a limit spent before the first node: every solve times out, and the
+    # sweep records it rather than raising
+    config = BenchConfig(
+        n_values=[40], k_values=[3], extra_edge_ratio=0.3, seeds=[1], time_limit=1e-9
+    )
+    records = run_benchmark(config)
+    assert [r.strategy for r in records] == list(Strategy)
+    for r in records:
+        assert (r.n, r.k_input, r.tau, r.seed) == (40, 3, 3, 1)
+        assert r.timed_out and r.error is None
+        assert (r.decision, r.nodes_expanded, r.max_depth, r.time_ms) == (None,) * 4
+    rows = write_report(records, "csv").splitlines()[1:]
+    assert rows == [f"40,3,3,{s},,,,,1,true" for s in ("edge", "p3", "paper5")]
+    table = write_report(records, "table").splitlines()
+    assert table[1].split() == ["40", "3", "3"] + ["timeout"] * 3 + ["-"] * 3
+
+
+def test_table_marks_generation_failures():
+    # n=10, k=1 admits at most 8 extra edges; ratio 0.9 asks for 9
+    records = run_benchmark(
+        BenchConfig(n_values=[10], k_values=[1], extra_edge_ratio=0.9, seeds=[1])
+    )
+    table = write_report(records, "table").splitlines()
+    assert len(table) == 2
+    assert table[1].split() == ["10", "1", "-"] + ["failed"] * 3 + ["-"] * 3
+
+
 def test_csv_header_and_layout():
     assert CSV_HEADER == (
         "n,k_input,tau,strategy,decision,nodes_expanded,max_depth,"

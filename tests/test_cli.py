@@ -159,6 +159,18 @@ def test_decide_and_solve_reject_bad_time_limit(p3_file, command, seconds, capsy
     )
 
 
+@pytest.mark.parametrize(
+    "command", [["decide", "--k", "1"], ["solve"]], ids=["decide", "solve"]
+)
+def test_decide_and_solve_report_a_spent_time_limit(p3_file, command, capsys):
+    # SolveTimeout is a TimeoutError, so main reports it like any OSError
+    argv = [command[0], p3_file, *command[1:], "--time-limit", "1e-9"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: time limit exceeded after 1 nodes\n"
+
+
 def test_solve_accepts_a_finite_time_limit(p3_file, capsys):
     assert main(["solve", p3_file, "--time-limit", "30"]) == 0
     assert "size: 1" in capsys.readouterr().out
@@ -266,6 +278,15 @@ def test_verify_non_integer_cover(p3_file, tmp_path, capsys):
     assert "non-integer" in capsys.readouterr().err
 
 
+def test_verify_reads_the_cover_from_stdin(p3_file, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# the center\n1\n"))
+    assert main(["verify", p3_file, "-", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"valid": True, "cover_size": 1}
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    assert main(["verify", p3_file, "-"]) == 1
+    assert capsys.readouterr().out == "valid: false\n"
+
+
 def test_verify_rejects_graph_and_cover_both_from_stdin(monkeypatch, capsys):
     # the graph would read all of stdin and leave the cover empty
     stdin = write_dimacs(path_graph(3)) + "1\n"
@@ -327,8 +348,15 @@ def test_bench_flags_parse_like_config_lines(monkeypatch, capsys):
         repetitions=2, extra_edge_ratio=0.2, time_limit=None,
     )]
     capsys.readouterr()
-    assert main(["bench", "--repetitions", "two"]) == 2
-    assert capsys.readouterr().err.startswith("error: --repetitions: ")
+    # a value its flag cannot take is a usage error, as for every option
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--repetitions", "two"])
+    assert exit_info.value.code == 2
+    assert "--repetitions" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--strategy", "p3 nope"])
+    assert exit_info.value.code == 2
+    assert "'nope' is not a valid Strategy" in capsys.readouterr().err
 
 
 def test_bench_invalid_config(capsys):
@@ -481,7 +509,8 @@ def test_console_module_in_a_fresh_interpreter():
 
 # Run in a fresh interpreter with the graph file as its argument: the
 # modules that importing vckit.cli adds, those that a later decide adds,
-# and the public names that dir(vckit) leaves out.
+# those that a tiny bench after it adds, and the public names that
+# dir(vckit) leaves out.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -491,11 +520,19 @@ before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     code = vckit.cli.main(["decide", sys.argv[1], "--k", "1"])
 on_decide = set(sys.modules) - before
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    bench_code = vckit.cli.main(
+        ["bench", "--n", "20", "--k", "2", "--seed", "1", "--strategy", "edge"]
+    )
+on_bench = set(sys.modules) - before
 import vckit
 print(json.dumps({
     "code": code,
+    "bench_code": bench_code,
     "on_import": sorted(on_import),
     "on_decide": sorted(on_decide),
+    "on_bench": sorted(on_bench),
     "undir": sorted(set(vckit.__all__) - set(dir(vckit))),
 }))
 """
@@ -503,7 +540,8 @@ print(json.dumps({
 
 def test_import_loads_only_what_a_graph_needs(p3_file):
     # the CLI module loads the graph, DIMACS and generator layers; the
-    # solver comes with the first decide, the harness only with bench
+    # solver comes with the first decide, the harness only with bench,
+    # and no command builds its records with dataclasses
     src = str(Path(vckit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -522,5 +560,10 @@ def test_import_loads_only_what_a_graph_needs(p3_file):
     ), sorted(on_import)
     assert seen["code"] == 0
     assert "vckit.solver" in on_decide
-    assert on_decide.isdisjoint({"vckit.bench", "statistics"}), sorted(on_decide)
+    assert on_decide.isdisjoint(
+        {"vckit.bench", "statistics", "dataclasses", "inspect"}
+    ), sorted(on_decide)
+    assert seen["bench_code"] == 0
+    assert "vckit.bench" in set(seen["on_bench"])
+    assert set(seen["on_bench"]).isdisjoint({"dataclasses", "inspect"}), seen["on_bench"]
     assert seen["undir"] == []

@@ -906,6 +906,19 @@ def test_min_cover_merges_stats_across_probes():
     assert total.triplet_scans == first.triplet_scans + second.triplet_scans
 
 
+def test_results_are_immutable_named_tuples():
+    result = decide_vc(path_graph(3), 1)
+    decision, certificate, stats = result
+    assert (decision, certificate) == (True, frozenset({1}))
+    assert list(stats._asdict()) == [
+        "nodes_expanded", "max_depth", "triplet_scans", "elapsed_ms"
+    ]
+    with pytest.raises(AttributeError):
+        stats.nodes_expanded = 0
+    assert stats._replace(elapsed_ms=0.0).nodes_expanded == stats.nodes_expanded
+    assert issubclass(SolveTimeout, TimeoutError) and issubclass(SolveTimeout, OSError)
+
+
 def _probe_graphs():
     yield "C5", cycle_graph(5), 3
     rng = random.Random(5)
