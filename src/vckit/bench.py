@@ -10,10 +10,11 @@ The CSV is the integration point for any downstream analysis.
 from __future__ import annotations
 
 import math
+from itertools import product
 from statistics import linear_regression, median
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .generate import _check_edge_ratio, gen_planted
+from .generate import _check_edge_ratio, _check_planted, gen_planted
 from .graph import GraphError
 from .solver import BranchSolver, SolveTimeout, Strategy, _check_time_limit
 
@@ -48,26 +49,21 @@ class BenchConfig(NamedTuple):
     def validate(self) -> None:
         if not self.n_values or not self.k_values or not self.seeds:
             raise ValueError("n_values, k_values and seeds must be non-empty")
-        if any(k < 1 for k in self.k_values):
-            raise ValueError(f"every k must be >= 1, got {self.k_values}")
-        if any(seed < 0 for seed in self.seeds):
-            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
-        worst_k = max(self.k_values)
-        smallest_n = min(self.n_values)
-        if 2 * worst_k > smallest_n:
-            raise ValueError(
-                f"k={worst_k} exceeds n/2 for n={smallest_n}; "
-                "planted instances need k <= n/2"
-            )
-        if not 0 <= self.extra_edge_ratio < math.inf:
-            raise ValueError(
-                f"extra_edge_ratio must be finite and >= 0, got {self.extra_edge_ratio}"
-            )
-        _check_edge_ratio(self.extra_edge_ratio, max(self.n_values), "extra_edge_ratio")
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
-        for name in self.strategies:
-            Strategy(name)  # raises ValueError naming an unknown strategy
+        # Strategy() raises ValueError naming an unknown strategy.
+        strategies = [Strategy(name).value for name in self.strategies]
+        for field, values in (
+            ("n_values", self.n_values), ("k_values", self.k_values),
+            ("seeds", self.seeds), ("strategies", strategies),
+        ):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{field} must not repeat a value, got {list(values)}")
+        # The cells that gen_planted refuses whatever their extra edges;
+        # one with too many is a failed record, not an invalid config.
+        for n, k, seed in product(self.n_values, self.k_values, self.seeds):
+            _check_planted(n, k, seed)
+        _check_edge_ratio(self.extra_edge_ratio, max(self.n_values), "extra_edge_ratio")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         _check_time_limit(self.time_limit, "time_limit")

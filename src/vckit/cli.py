@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import nullcontext
 
@@ -107,15 +106,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.extra_edges is not None and args.extra_edge_ratio is not None:
-        raise ValueError("give either --extra-edges or --extra-edge-ratio, not both")
-    if args.extra_edges is not None:
-        extra = args.extra_edges
-    else:
-        ratio = 0.5 if args.extra_edge_ratio is None else args.extra_edge_ratio
-        if not math.isfinite(ratio):
-            raise ValueError(f"--extra-edge-ratio must be finite, got {ratio}")
-        extra = _check_edge_ratio(ratio, args.n, "--extra-edge-ratio")
+    extra = _check_edge_ratio(args.extra_edge_ratio, args.n, "--extra-edge-ratio")
     instance = gen_planted(args.n, args.k, extra, args.seed)
     comments = (
         f"planted instance: n={args.n} k={args.k} extra_edges={extra} seed={args.seed}",
@@ -229,12 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True, help="number of vertices")
     p_gen.add_argument("--k", type=int, required=True, help="planted cover size")
     p_gen.add_argument(
-        "--extra-edges", type=int, default=None,
-        help="extra cover-incident edges beyond the planted matching",
-    )
-    p_gen.add_argument(
-        "--extra-edge-ratio", type=float, default=None,
-        help="extra edges as a fraction of n (default 0.5 when --extra-edges is absent)",
+        "--extra-edge-ratio", type=float, default=0.5,
+        help="extra cover-incident edges beyond the planted matching, "
+        "as a fraction of n (default 0.5)",
     )
     p_gen.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
     p_gen.add_argument(
@@ -310,4 +298,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

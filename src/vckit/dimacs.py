@@ -27,7 +27,8 @@ of its neighbor list, instead of a line at a time.  Every neighbor
 entry of a vertex is the one int object that a table, grown to the
 largest id read so far, holds for it.  read_dimacs_file reads its file
 or stream a block at a time, so it never holds the whole text;
-parse_dimacs is given its text whole.
+parse_dimacs is given its text whole, and decodes bytes a slice at a
+time.
 
 Canonical output is the problem line with the exact distinct edge
 count followed by the edges sorted ascending, so parse(write(g)) == g.
@@ -39,8 +40,7 @@ import codecs
 import warnings
 from bisect import bisect_right
 from contextlib import nullcontext
-from functools import partial
-from itertools import chain, compress
+from itertools import compress, repeat
 from operator import eq, ge, gt, lt, ne
 from typing import Iterable, Iterator
 
@@ -112,13 +112,18 @@ def _stream_blocks(chunks: Iterable[str]) -> Iterator[str]:
         yield tail
 
 
-def _decoded(chunks: Iterable[bytes]) -> Iterator[str]:
-    """The text of UTF-8 chunks, with undecodable bytes replaced as
-    bytes.decode does it, and a character whose bytes two chunks split
-    decoded whole."""
+def _text(chunks: Iterable[str | bytes]) -> Iterator[str]:
+    """The text of chunks up to the first empty one: a str chunk as it
+    is, and a bytes chunk decoded as UTF-8, with undecodable bytes
+    replaced as bytes.decode does it, by one incremental decoder, so a
+    character whose bytes two chunks split comes out whole.  A chunk of
+    any other type, such as None, raises TypeError."""
     decode = codecs.getincrementaldecoder("utf-8")("replace").decode
     for chunk in chunks:
-        yield decode(chunk)
+        text = chunk if isinstance(chunk, str) else decode(chunk)
+        if not chunk:
+            break
+        yield text
     yield decode(b"", True)
 
 
@@ -398,19 +403,18 @@ def parse_dimacs(data: str | bytes) -> Graph:
     repeats, and the Graph only freezes them; otherwise it sorts, dedups
     and freezes them.  Besides the text, a parse holds only one block's
     lines, or its fields and ids, the table of vertex ids and the graph
-    being built.  To read a file without holding its whole text, use
-    read_dimacs_file.
+    being built.  Bytes are decoded slice by slice, as read_dimacs_file
+    decodes a binary stream.  To read a file without holding its whole
+    text, use read_dimacs_file.
 
     Raises DimacsError (with the offending line number) on a missing or
     duplicate problem line, an edge line before the problem line,
     unrecognized line types, malformed numbers, a declared vertex count
     above MAX_VERTICES, out-of-range vertex ids, or self-loops.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    return _parse(_stream_blocks(
+    return _parse(_stream_blocks(_text(
         data[i:i + _BLOCK_CHARS] for i in range(0, len(data), _BLOCK_CHARS)
-    ))
+    )))
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
@@ -441,22 +445,17 @@ def read_dimacs_file(source) -> Graph:
     A path is opened as UTF-8, with undecodable bytes replaced; a
     stream (any object with a ``read`` method, such as ``sys.stdin``
     or a file opened in binary mode) is read from where it stands and
-    left open.  A binary stream is decoded the same way as it is read,
-    by an incremental decoder, so a character whose bytes straddle two
-    reads comes out whole.  The result, warnings and errors are those
-    of parse_dimacs on the same text or bytes, but the whole text is
-    never held, only one block of it at a time.
+    left open.  A binary stream is decoded as it is read, as
+    parse_dimacs decodes bytes, so a character whose bytes straddle two
+    reads comes out whole.  The result, warnings and errors are those of
+    parse_dimacs on the same text or bytes, but the whole text is never
+    held, only one block of it at a time.
     """
     if hasattr(source, "read"):
         file = nullcontext(source)
     else:
         file = open(source, "r", encoding="utf-8", errors="replace")
     with file as fh:
-        read = partial(fh.read, _BLOCK_CHARS)
-        first = read()
-        # Read until an empty read of the stream's own type, and not
-        # again after one: a terminal's stdin would wait for another EOF.
-        chunks = chain((first,), iter(read, first[:0]) if first else ())
-        if not isinstance(first, str):
-            chunks = _decoded(chunks)
-        return _parse(_stream_blocks(chunks))
+        # _text reads no further than the first empty read: a terminal's
+        # stdin would wait for another end of file.
+        return _parse(_stream_blocks(_text(map(fh.read, repeat(_BLOCK_CHARS)))))

@@ -37,7 +37,10 @@ class PlantedInstance(NamedTuple):
 
 
 def _check_edge_ratio(ratio: float, n: int, name: str) -> int:
-    """round(ratio * n), the extra edge count, checked to be finite."""
+    """round(ratio * n), the extra edge count, for a ratio that is finite
+    and >= 0 and whose product with n is finite."""
+    if not 0 <= ratio < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {ratio}")
     if not math.isfinite(ratio * n):
         raise ValueError(f"{name} {ratio} times n={n} is not a finite edge count")
     return round(ratio * n)
@@ -51,6 +54,15 @@ def _check_n_and_seed(n: int, seed: int) -> None:
         raise GraphError(
             f"n={n} is more than the {dimacs.MAX_VERTICES} vertices accepted"
         )
+
+
+def _check_planted(n: int, k: int, seed: int) -> None:
+    """The checks of gen_planted that do not depend on its extra edges."""
+    _check_n_and_seed(n, seed)
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    if 2 * k > n:
+        raise GraphError(f"planted matching needs 2k <= n, got k={k}, n={n}")
 
 
 def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
@@ -73,11 +85,7 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
     extra_edges is negative, or extra_edges exceeds the number of distinct
     cover-incident edges available beyond the matching.
     """
-    _check_n_and_seed(n, seed)
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
-    if 2 * k > n:
-        raise GraphError(f"planted matching needs 2k <= n, got k={k}, n={n}")
+    _check_planted(n, k, seed)
     if extra_edges < 0:
         raise GraphError(f"extra_edges must be >= 0, got {extra_edges}")
     # Edges with an endpoint in C: k(k-1)/2 inside C plus k(n-k) crossing,

@@ -149,15 +149,28 @@ def test_config_validation():
         message = f"time_limit must be finite and > 0, got {seconds}"
         with pytest.raises(ValueError, match=message):
             BenchConfig(time_limit=seconds).validate()
-    with pytest.raises(ValueError, match="seeds"):
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
         BenchConfig(seeds=[-3]).validate()
-    with pytest.raises(ValueError, match="n/2"):
+    with pytest.raises(ValueError, match="2k <= n"):
         BenchConfig(n_values=[10], k_values=[2, 6]).validate()
     for ratio in (-0.5, float("inf"), float("nan")):
         message = f"extra_edge_ratio must be finite and >= 0, got {ratio}"
         with pytest.raises(ValueError, match=message):
             BenchConfig(extra_edge_ratio=ratio).validate()
     BenchConfig().validate()
+
+
+def test_config_rejects_repeated_values():
+    # a repeated value would solve one cell twice and report the pair as
+    # repetitions; a strategy counts as itself by member or by name
+    for field, config in (
+        ("n_values", BenchConfig(n_values=[40, 40])),
+        ("k_values", BenchConfig(k_values=[2, 3, 2])),
+        ("seeds", BenchConfig(seeds=[1, 1])),
+        ("strategies", BenchConfig(strategies=("p3", Strategy.CLASSIC_P3))),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
+            config.validate()
 
 
 def test_config_rejects_no_strategies():

@@ -179,7 +179,7 @@ def test_solve_accepts_a_finite_time_limit(p3_file, capsys):
 def test_gen_writes_parseable_instance(tmp_path, capsys):
     out_path = tmp_path / "inst.col"
     rc = main([
-        "gen", "--n", "24", "--k", "4", "--extra-edges", "18",
+        "gen", "--n", "24", "--k", "4", "--extra-edge-ratio", "0.75",
         "--seed", "5", "--output", str(out_path),
     ])
     assert rc == 0
@@ -192,7 +192,7 @@ def test_gen_writes_parseable_instance(tmp_path, capsys):
 
 
 def test_gen_stdout_and_solve_round_trip(tmp_path, capsys):
-    assert main(["gen", "--n", "20", "--k", "3", "--extra-edges", "10"]) == 0
+    assert main(["gen", "--n", "20", "--k", "3", "--extra-edge-ratio", "0.5"]) == 0
     text = capsys.readouterr().out
     path = tmp_path / "gen.col"
     path.write_text(text)
@@ -207,27 +207,18 @@ def test_gen_ratio_default(capsys):
     assert g.edge_count == 20
 
 
-def test_gen_rejects_conflicting_flags(capsys):
-    rc = main([
-        "gen", "--n", "20", "--k", "3",
-        "--extra-edges", "5", "--extra-edge-ratio", "0.5",
-    ])
-    assert rc == 2
-    assert "not both" in capsys.readouterr().err
-
-
 def test_gen_infeasible_parameters(capsys):
     assert main(["gen", "--n", "5", "--k", "3"]) == 2
     assert "2k <= n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("ratio", ["inf", "-inf", "nan", "-0.5"])
 def test_gen_rejects_non_finite_ratio(ratio, capsys):
     assert main(["gen", "--n", "10", "--k", "2", f"--extra-edge-ratio={ratio}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: --extra-edge-ratio must be finite, got {float(ratio)}\n"
+        f"error: --extra-edge-ratio must be finite and >= 0, got {float(ratio)}\n"
     )
 
 
@@ -375,6 +366,35 @@ def test_bench_bad_output_path_fails_before_the_sweep(tmp_path, monkeypatch, cap
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert str(missing) in captured.err
+
+
+def _no_generation(*args):
+    raise AssertionError("generated an instance")
+
+
+@pytest.mark.parametrize("n, seed", [(40, 2**64), (MAX_VERTICES + 1, 1)])
+def test_bench_refuses_what_the_generator_refuses(n, seed, monkeypatch, capsys):
+    with pytest.raises(ValueError) as refused:
+        gen_planted(n, 2, 0, seed)
+    monkeypatch.setattr("vckit.bench.gen_planted", _no_generation)
+    assert main(["bench", "--n", str(n), "--k", "2", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+
+
+def test_bench_rejects_repeated_values(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("vckit.bench.gen_planted", _no_generation)
+    output = tmp_path / "x.csv"
+    rc = main([
+        "bench", "--n", "40,40", "--k", "2", "--strategy", "p3,p3",
+        "--output", str(output),
+    ])
+    assert rc == 2
+    assert not output.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_values must not repeat a value, got [40, 40]\n"
 
 
 @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])

@@ -612,11 +612,11 @@ def test_read_file_equals_parse_of_its_text(monkeypatch, tmp_path):
                 block, text)
 
 
-def test_read_binary_stream_equals_parse_of_its_bytes(monkeypatch):
-    # a stream opened in binary mode is decoded as parse_dimacs decodes
-    # bytes, even when a character's bytes straddle two reads
+def _encoded_texts() -> list[bytes]:
+    """UTF-8 texts with characters of one to four bytes, undecodable and
+    cut characters, and no final newline."""
     written = write_dimacs(gen_gnm(12, 20, seed=6), comments=("é € 😀",))
-    datas = [
+    return [
         b"p edge 2 1\ne 1 2\n",
         written.encode(),
         written.replace("\n", "\r\n").encode(),
@@ -626,11 +626,42 @@ def test_read_binary_stream_equals_parse_of_its_bytes(monkeypatch):
         "p edge 2 1\ne 1 2\nc 😀".encode(),  # no final newline
         b"",
     ]
+
+
+def test_read_binary_stream_equals_parse_of_its_bytes(monkeypatch):
+    # a stream opened in binary mode is decoded as parse_dimacs decodes
+    # bytes, even when a character's bytes straddle two reads
     for block in (1, 2, 3, 5, 64, dimacs._BLOCK_CHARS):
         monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
-        for data in datas:
+        for data in _encoded_texts():
             assert _outcome(read_dimacs_file, io.BytesIO(data)) == _outcome(
                 parse_dimacs, data), (block, data)
+
+
+def test_parse_of_bytes_equals_parse_of_their_whole_decode(monkeypatch):
+    # bytes are decoded a slice at a time, and a character whose bytes
+    # two slices split comes out as bytes.decode makes it
+    for block in (1, 2, 3, 5, 64, dimacs._BLOCK_CHARS):
+        monkeypatch.setattr(dimacs, "_BLOCK_CHARS", block)
+        for data in _encoded_texts():
+            assert _outcome(parse_dimacs, data) == _outcome(
+                parse_dimacs, data.decode("utf-8", "replace")), (block, data)
+
+
+@pytest.mark.parametrize(
+    "reads", [[None], ["p edge 2 1\n", None], [b"p edge 2 1\n", None]]
+)
+def test_stream_read_of_neither_text_nor_bytes_fails(reads):
+    # a read that returns None, as a non-blocking stream's can, is not
+    # taken for the end of the text
+    class Stream:
+        chunks = iter(reads)
+
+        def read(self, size):
+            return next(self.chunks)
+
+    with pytest.raises(TypeError):
+        read_dimacs_file(Stream())
 
 
 @pytest.mark.parametrize("empty", ["", b""])
