@@ -15,7 +15,6 @@ from statistics import linear_regression, median
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .generate import _check_edge_ratio, _check_planted, gen_planted
-from .graph import GraphError
 from .solver import BranchSolver, SolveTimeout, Strategy, _check_time_limit
 
 # The CSV columns in order, each a BenchRecord field; a field left out
@@ -59,11 +58,12 @@ class BenchConfig(NamedTuple):
         ):
             if len(set(values)) < len(values):
                 raise ValueError(f"{field} must not repeat a value, got {list(values)}")
-        # The cells that gen_planted refuses whatever their extra edges;
-        # one with too many is a failed record, not an invalid config.
-        for n, k, seed in product(self.n_values, self.k_values, self.seeds):
-            _check_planted(n, k, seed)
+        # At the largest n first, so an infinite edge count names it.
         _check_edge_ratio(self.extra_edge_ratio, max(self.n_values), "extra_edge_ratio")
+        # Every cell that gen_planted would refuse, before any is generated.
+        for n, k, seed in product(self.n_values, self.k_values, self.seeds):
+            extra_edges = _check_edge_ratio(self.extra_edge_ratio, n, "extra_edge_ratio")
+            _check_planted(n, k, extra_edges, seed)
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         _check_time_limit(self.time_limit, "time_limit")
@@ -73,9 +73,7 @@ class BenchRecord(NamedTuple):
     """One (n, k, strategy, seed) cell of a sweep.
 
     A measurement a record lacks is None.  A timed-out record keeps its
-    identity fields and tau but carries no decision or counters.  A
-    record whose instance generation failed (infeasible parameters) has
-    tau None too and the failure text in error.
+    identity fields and tau but carries no decision or counters.
     """
 
     n: int
@@ -88,7 +86,6 @@ class BenchRecord(NamedTuple):
     max_depth: Optional[int] = None
     time_ms: Optional[float] = None
     timed_out: bool = False
-    error: Optional[str] = None
 
 
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
@@ -96,9 +93,8 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
 
     Cells sharing (n, k, seed) solve the same generated instance, and
     every record carries a Strategy member, whether config.strategies
-    named it by member or by string.  Generation failures and
-    per-solve timeouts are recorded, not raised, so a sweep always
-    completes.
+    named it by member or by string.  A per-solve timeout is recorded,
+    not raised, so a valid sweep always completes.
     """
     config.validate()
     strategies = tuple(map(Strategy, config.strategies))
@@ -107,17 +103,7 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
         extra_edges = _check_edge_ratio(config.extra_edge_ratio, n, "extra_edge_ratio")
         for k in config.k_values:
             for seed in config.seeds:
-                try:
-                    instance = gen_planted(n, k, extra_edges, seed)
-                except GraphError as exc:
-                    for strategy in strategies:
-                        records.append(
-                            BenchRecord(
-                                n=n, k_input=k, strategy=strategy, seed=seed,
-                                error=str(exc),
-                            )
-                        )
-                    continue
+                instance = gen_planted(n, k, extra_edges, seed)
                 for strategy in strategies:
                     records.append(_solve_cell(instance, strategy, config))
     return records
@@ -169,7 +155,7 @@ class BranchingFit(NamedTuple):
 def estimate_branching_factor(records: Iterable[BenchRecord]) -> list[BranchingFit]:
     """Fit the empirical branching factor per (strategy, n) group.
 
-    Timed-out and failed records carry no node count and are dropped.
+    Timed-out records carry no node count and are dropped.
     A group left with fewer than three distinct k gets no fit, since
     two points always fit a line exactly; so the result may be empty.
     """
@@ -246,8 +232,6 @@ def _write_table(ordered: Sequence[BenchRecord]) -> str:
         cells.setdefault((r.n, r.k_input), {}).setdefault(r.strategy, []).append(r)
 
     def time_cell(group: list[BenchRecord]) -> str:
-        if any(r.error for r in group):
-            return "failed"
         if any(r.timed_out for r in group):
             return "timeout"
         return f"{median(r.time_ms for r in group):.3f}"

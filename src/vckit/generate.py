@@ -56,13 +56,23 @@ def _check_n_and_seed(n: int, seed: int) -> None:
         )
 
 
-def _check_planted(n: int, k: int, seed: int) -> None:
-    """The checks of gen_planted that do not depend on its extra edges."""
+def _check_planted(n: int, k: int, extra_edges: int, seed: int) -> None:
+    """gen_planted's checks of its arguments, before any sampling."""
     _check_n_and_seed(n, seed)
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
     if 2 * k > n:
         raise GraphError(f"planted matching needs 2k <= n, got k={k}, n={n}")
+    if extra_edges < 0:
+        raise GraphError(f"extra_edges must be >= 0, got {extra_edges}")
+    # Edges with an endpoint in C: k(k-1)/2 inside C plus k(n-k) crossing,
+    # minus the k matching edges already placed.
+    available = k * (k - 1) // 2 + k * (n - k) - k
+    if extra_edges > available:
+        raise GraphError(
+            f"extra_edges={extra_edges} exceeds the {available} distinct "
+            f"cover-incident edges available for n={n}, k={k}"
+        )
 
 
 def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
@@ -82,21 +92,10 @@ def gen_planted(n: int, k: int, extra_edges: int, seed: int) -> PlantedInstance:
     is a cover and tau(G) == k exactly.
 
     Raises GraphError when n exceeds dimacs.MAX_VERTICES, k < 1, 2k > n,
-    extra_edges is negative, or extra_edges exceeds the number of distinct
-    cover-incident edges available beyond the matching.
+    extra_edges is negative, or extra_edges exceeds the distinct edges
+    with an endpoint in C left beyond the matching.
     """
-    _check_planted(n, k, seed)
-    if extra_edges < 0:
-        raise GraphError(f"extra_edges must be >= 0, got {extra_edges}")
-    # Edges with an endpoint in C: k(k-1)/2 inside C plus k(n-k) crossing,
-    # minus the k matching edges already placed.
-    available = k * (k - 1) // 2 + k * (n - k) - k
-    if extra_edges > available:
-        raise GraphError(
-            f"extra_edges={extra_edges} exceeds the {available} distinct "
-            f"cover-incident edges available for n={n}, k={k}"
-        )
-
+    _check_planted(n, k, extra_edges, seed)
     matching = [(i, k + i) for i in range(k)]
     adj = _draw_edges(random.Random(seed).getrandbits, n, k, matching, k + extra_edges)
     return PlantedInstance(

@@ -155,10 +155,8 @@ def _check_time_limit(seconds: Optional[float], name: str) -> Optional[float]:
 def _deadline(time_limit: float | None) -> float | None:
     """The perf_counter() reading at which time_limit seconds from now
     run out, or None for no limit."""
-    if time_limit is None:
+    if _check_time_limit(time_limit, "time_limit") is None:
         return None
-    if math.isnan(time_limit):
-        raise ValueError("time_limit is NaN; pass None for no limit")
     return time.perf_counter() + time_limit
 
 
@@ -200,20 +198,24 @@ class BranchSolver:
         """Decide tau(graph) <= k.
 
         A true decision carries a cover of at most k vertices as its
-        certificate.  time_limit is in seconds; a NaN limit raises
-        ValueError.  The search reads the clock at the first node it
-        enters, then each time it enters a node once 256 more nodes have
-        been counted, and raises SolveTimeout at the first reading past
-        the limit.  So a spent limit raises before any branching, however
-        small the tree.  The selection is empty on entry and on every way
-        out: a finished search has unwound each branch, and an abort
-        (timeout, KeyboardInterrupt) resets the session, which stays
-        usable.  The search keeps its own stack, so any budget runs on
-        the caller's thread without touching the recursion limit.
+        certificate.  time_limit is in seconds, finite and > 0, or None
+        for no limit; any other value raises ValueError.  The search
+        reads the clock at the first node it enters, then each time it
+        enters a node once 256 more nodes have been counted, and raises
+        SolveTimeout at the first reading past the limit.  So a spent
+        limit raises before any branching, however small the tree.  The
+        selection is empty on entry and on every way out: a finished
+        search has unwound each branch, and an abort (timeout,
+        KeyboardInterrupt) resets the session, which stays usable.  The
+        search keeps its own stack, so any budget runs on the caller's
+        thread without touching the recursion limit.
         """
+        return self._decide(k, _deadline(time_limit))
+
+    def _decide(self, k: int, deadline: float | None) -> SolveResult:
+        """decide() against a perf_counter() deadline, None for none."""
         if k < 0:
             raise ValueError(f"budget k must be >= 0, got {k}")
-        deadline = _deadline(time_limit)
         start = time.perf_counter()
         try:
             certificate, nodes, max_depth, scans = self._search(k, deadline)
@@ -556,15 +558,14 @@ def min_vertex_cover(
     stats add up the probes' counts and elapsed_ms and keep the deepest
     max_depth.  On a planted graph the bound is already tau, so the
     first probe is the last.  time_limit (seconds) spans the whole
-    computation, bound included; NaN raises ValueError.
+    computation, bound included, and takes the values decide takes.
     """
     deadline = _deadline(time_limit)
     solver = BranchSolver(g, strategy)
     probes: list[SolveStats] = []
     k = lp_lower_bound(g)
     while True:
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        result = solver.decide(k, time_limit=remaining)
+        result = solver._decide(k, deadline)
         probes.append(result.stats)
         if result.decision:
             cover = result.certificate

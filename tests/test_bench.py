@@ -12,6 +12,7 @@ from vckit import (
     BenchConfig,
     BenchRecord,
     BranchSolver,
+    GraphError,
     Strategy,
     decide_vc,
     estimate_branching_factor,
@@ -34,7 +35,7 @@ TINY = dict(
 def _strip_times(records):
     return [
         (r.n, r.k_input, r.tau, r.strategy, r.decision, r.nodes_expanded,
-         r.max_depth, r.seed, r.timed_out, r.error)
+         r.max_depth, r.seed, r.timed_out)
         for r in records
     ]
 
@@ -46,7 +47,7 @@ def test_run_benchmark_record_shape():
     for r in records:
         assert r.n == 40 and r.k_input == 3 and r.tau == 3
         assert r.decision is True
-        assert not r.timed_out and r.error is None
+        assert not r.timed_out
         assert r.nodes_expanded >= 1
         assert r.max_depth <= r.k_input + 1
         assert r.time_ms is not None and r.time_ms >= 0
@@ -90,26 +91,6 @@ def test_run_benchmark_builds_one_solver_per_cell(monkeypatch):
     assert len(records) == cells * len(config.strategies)
     assert Counter(built) == Counter(list(config.strategies) * cells)
     assert Counter(decided) == Counter(list(config.strategies) * cells * 3)
-
-
-def test_run_benchmark_records_generation_failures():
-    # n=10, k=1 admits at most 8 extra edges; ratio 0.9 asks for 9.
-    # the n=200 cell is feasible, so the sweep must carry on.
-    config = BenchConfig(
-        n_values=[10, 200], k_values=[1], extra_edge_ratio=0.9, seeds=[1],
-        repetitions=1,
-    )
-    records = run_benchmark(config)
-    failed = [r for r in records if r.error]
-    good = [r for r in records if not r.error]
-    assert {r.n for r in failed} == {10}
-    assert {r.n for r in good} == {200}
-    assert len(failed) == len(config.strategies)
-    for r in failed:
-        assert r.tau is None and r.decision is None and not r.timed_out
-        assert "extra_edges" in r.error
-    for r in good:
-        assert r.decision is True
 
 
 def test_run_benchmark_accepts_strategy_names(monkeypatch):
@@ -160,6 +141,17 @@ def test_config_validation():
     BenchConfig().validate()
 
 
+def test_config_refuses_cells_the_generator_refuses():
+    # n=10, k=1 admits at most 8 extra edges; ratio 0.9 asks for 9, so
+    # the sweep fails before it generates anything
+    with pytest.raises(GraphError) as refused:
+        gen_planted(10, 1, 9, 1)
+    config = BenchConfig(n_values=[10], k_values=[1], extra_edge_ratio=0.9)
+    with pytest.raises(GraphError) as failed:
+        config.validate()
+    assert str(failed.value) == str(refused.value)
+
+
 def test_config_rejects_repeated_values():
     # a repeated value would solve one cell twice and report the pair as
     # repetitions; a strategy counts as itself by member or by name
@@ -188,22 +180,12 @@ def test_sweep_of_timed_out_solves():
     assert [r.strategy for r in records] == list(Strategy)
     for r in records:
         assert (r.n, r.k_input, r.tau, r.seed) == (40, 3, 3, 1)
-        assert r.timed_out and r.error is None
+        assert r.timed_out
         assert (r.decision, r.nodes_expanded, r.max_depth, r.time_ms) == (None,) * 4
     rows = write_report(records, "csv").splitlines()[1:]
     assert rows == [f"40,3,3,{s},,,,,1,true" for s in ("edge", "p3", "paper5")]
     table = write_report(records, "table").splitlines()
     assert table[1].split() == ["40", "3", "3"] + ["timeout"] * 3 + ["-"] * 3
-
-
-def test_table_marks_generation_failures():
-    # n=10, k=1 admits at most 8 extra edges; ratio 0.9 asks for 9
-    records = run_benchmark(
-        BenchConfig(n_values=[10], k_values=[1], extra_edge_ratio=0.9, seeds=[1])
-    )
-    table = write_report(records, "table").splitlines()
-    assert len(table) == 2
-    assert table[1].split() == ["10", "1", "-"] + ["failed"] * 3 + ["-"] * 3
 
 
 def test_csv_header_and_layout():
@@ -243,14 +225,6 @@ def test_csv_timed_out_row_blanks():
     )
     line = write_report([record], "csv").splitlines()[1]
     assert line == "1000,12,12,paper5,,,,,3,true"
-
-
-def test_csv_generation_failure_row_blanks():
-    record = BenchRecord(
-        n=10, k_input=1, strategy=Strategy.PAPER_FIVE, seed=1, error="infeasible",
-    )
-    line = write_report([record], "csv").splitlines()[1]
-    assert line == "10,1,,paper5,,,,,1,false"
 
 
 def test_table_report_mentions_cells():
@@ -331,14 +305,14 @@ def test_branching_fit_needs_three_k_values():
 
 
 def test_branching_fit_rejects_timed_out_groups():
-    # timed-out and failed records are left out of the fit, not fatal
+    # records without a node count are left out of the fit, not fatal
     records = _fit_records(Strategy.EDGE_BRANCH, 100, [(k, 2**k) for k in (4, 6, 8)])
     records.append(_timed_out_record(Strategy.EDGE_BRANCH, 100, 10))
     records.append(
         BenchRecord(
             n=100, k_input=12, tau=None, strategy=Strategy.EDGE_BRANCH,
             decision=None, nodes_expanded=None, max_depth=None, time_ms=None,
-            seed=1, error="infeasible",
+            seed=1,
         )
     )
     (fit,) = estimate_branching_factor(records)

@@ -383,6 +383,26 @@ def test_bench_refuses_what_the_generator_refuses(n, seed, monkeypatch, capsys):
     assert captured.err == f"error: {refused.value}\n"
 
 
+def test_bench_refuses_cells_with_too_many_extra_edges(tmp_path, monkeypatch, capsys):
+    # ratio 2 asks for 8 extra edges at n=4 and 80 at n=40, past the 3
+    # and 75 that k=2 leaves: gen refuses either cell, so bench does too
+    for n in ("40", "4"):
+        assert main(["gen", "--n", n, "--k", "2", "--extra-edge-ratio", "2"]) == 2
+        refused = capsys.readouterr().err
+    monkeypatch.setattr("vckit.bench.gen_planted", _no_generation)
+    output = tmp_path / "x.csv"
+    rc = main([
+        "bench", "--n", "4,40", "--k", "2", "--extra-edge-ratio", "2",
+        "--output", str(output),
+    ])
+    assert rc == 2
+    assert not output.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == refused
+    assert "cover-incident edges available for n=4, k=2" in refused
+
+
 def test_bench_rejects_repeated_values(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("vckit.bench.gen_planted", _no_generation)
     output = tmp_path / "x.csv"

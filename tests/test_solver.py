@@ -130,11 +130,28 @@ def test_decide_rejects_negative_budget():
 def test_nan_time_limit_is_rejected():
     # NaN compares false against every deadline, so it would mean no limit
     solver = BranchSolver(path_graph(3))
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="finite and > 0"):
         solver.decide(1, time_limit=float("nan"))
     assert solver.decide(1).decision is True
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="finite and > 0"):
         min_vertex_cover(path_graph(3), time_limit=float("nan"))
+
+
+@pytest.mark.parametrize("seconds", [0.0, -1.0, float("inf"), float("nan")])
+def test_time_limits_the_cli_refuses_are_refused(seconds):
+    # the same rule as --time-limit and BenchConfig.time_limit: a limit is
+    # finite and > 0, and None is the only way to ask for none
+    message = re.escape(f"time_limit must be finite and > 0, got {seconds}")
+    g = path_graph(3)
+    solver = BranchSolver(g)
+    with pytest.raises(ValueError, match=message):
+        decide_vc(g, 1, time_limit=seconds)
+    with pytest.raises(ValueError, match=message):
+        solver.decide(1, time_limit=seconds)
+    with pytest.raises(ValueError, match=message):
+        min_vertex_cover(g, time_limit=seconds)
+    assert solver.decide(1).decision is True
+    assert solver.decide(1, time_limit=None).decision is True
 
 
 def test_decide_accepts_strategy_strings():
@@ -200,7 +217,7 @@ def test_decide_deterministic_across_sessions():
             session = BranchSolver(g, strategy)
             below = session.decide(k - 1)
             with pytest.raises(SolveTimeout):
-                session.decide(k, time_limit=0.0)
+                session.decide(k, time_limit=1e-9)
             at = session.decide(k)
             assert _outcome(below) == _outcome(BranchSolver(g, strategy).decide(k - 1))
             assert _outcome(at) == _outcome(BranchSolver(g, strategy).decide(k))
@@ -556,7 +573,7 @@ def test_spent_time_limit_raises_on_a_small_tree():
     assert solver.decide(6).stats.nodes_expanded == 51
     before = session_snapshot(solver)
     with pytest.raises(SolveTimeout, match=r"after 1 nodes$"):
-        solver.decide(6, time_limit=0.0)
+        solver.decide(6, time_limit=1e-9)
     assert session_snapshot(solver) == before
 
 
@@ -570,6 +587,23 @@ class _TickingClock:
     def perf_counter(self):
         self.now += 1.0
         return self.now
+
+
+def test_solve_limit_spent_in_the_bound_times_out(monkeypatch):
+    # The limit runs out while lp_lower_bound works: the first probe
+    # starts past the one deadline that the whole solve shares, and times
+    # out at its first node rather than refusing a spent limit.
+    clock = _TickingClock()
+    bound = solver_module.lp_lower_bound
+
+    def slow_bound(g):
+        clock.now += 10.0
+        return bound(g)
+
+    monkeypatch.setattr(solver_module, "time", clock)
+    monkeypatch.setattr(solver_module, "lp_lower_bound", slow_bound)
+    with pytest.raises(SolveTimeout, match=r"after 1 nodes$"):
+        min_vertex_cover(_relabeled_planted(1), time_limit=5.0)
 
 
 # Trees of 512+ nodes, decided false: (graph, k).  Their searches skip
@@ -600,7 +634,7 @@ def test_zero_time_limit_times_out_large_trees(strategy, tree, monkeypatch):
     assert full.decision is False
     assert full.stats.nodes_expanded >= 512
     with pytest.raises(SolveTimeout, match=r"after 1 nodes$"):
-        solver.decide(k, time_limit=0.0)
+        solver.decide(k, time_limit=1e-9)
     assert session_snapshot(solver) == before
     # decide reads the clock for the deadline and for its start time, and
     # the search then reads it once per check: a limit of 2.5 ticks runs
@@ -892,6 +926,21 @@ def test_min_cover_matches_oracle(strategy):
         assert verify_cover(g, cover)
         assert stats.nodes_expanded >= 1
         assert stats.max_depth <= size + 1
+
+
+@pytest.mark.parametrize("n, seed", [(31, 1), (34, 2), (37, 3), (40, 4)])
+def test_min_cover_matches_clique_of_complement_beyond_the_oracle(n, seed):
+    # brute_force_tau stops at 30 vertices.  Past it, a maximum clique of
+    # the complement is a maximum independent set, so tau is n minus its
+    # size.
+    g = gen_gnm(n, 2 * n, seed)
+    other = networkx.Graph()
+    other.add_nodes_from(range(n))
+    other.add_edges_from(g.edges())
+    clique, _ = networkx.max_weight_clique(networkx.complement(other), weight=None)
+    size, cover, _ = min_vertex_cover(g, "p3")
+    assert size == n - len(clique)
+    assert len(cover) == size and verify_cover(g, cover)
 
 
 def test_min_cover_merges_stats_across_probes():
