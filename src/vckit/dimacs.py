@@ -15,13 +15,16 @@ most MAX_VERTICES vertices; a larger n is rejected at that line, before
 anything is allocated for it, since the parse allocates one neighbor
 list per declared vertex there.
 
-A parse takes its text 16 KiB at a time, cuts each piece after its
-last ``\n`` and carries the rest over to the next piece.  It holds one
-such block split into either its lines or, for a block of plain edge
-lines, its fields and ids, and the graph being built: each edge line
-goes straight into its endpoints' neighbor lists, so there is never a
-list of all lines or of all edges.  Sorted text comes in runs of lines
-that share their first id; a plain block that opens with a long run is
+A parse takes its text 16 KiB at a time from one source, _blocks,
+which decodes bytes, cuts each piece after its last ``\n`` and carries
+the rest over to the next piece.  It holds one such block split into
+either its lines or, for a block of plain edge lines, its fields and
+ids, and the graph being built: a block's edge lines go into their
+endpoints' neighbor lists before the next block is read, so there is
+never a list of all lines or of all edges.  A plain block is taken in
+bulk; any other is checked line by line, and its edge lines are then
+built by the same builder.  Sorted text comes in runs of lines that
+share their first id; a plain block that opens with a long run is
 read a run at a time, with one int() per run's first id and one extend
 of its neighbor list, instead of a line at a time.  Every neighbor
 entry of a vertex is the one int object that a table, grown to the
@@ -71,8 +74,7 @@ _ODD_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 # A plain block whose lines 0 and _RUN_PROBE share their first id opens,
 # if it is sorted, with a run of more than _RUN_PROBE lines, and is read
 # by runs.  Relabeled graphs, whose runs are mostly 1 or 2 lines, almost
-# never pass this probe, so they pay nothing for the run path; read_runs
-# turns down the few blocks of theirs that do, once it has found the runs.
+# never pass this probe, so they pay nothing for the run path.
 _RUN_PROBE = 15
 
 
@@ -90,48 +92,44 @@ class DimacsFormatWarning(UserWarning):
     """Recoverable oddity in DIMACS input, e.g. a wrong declared edge count."""
 
 
-def _stream_blocks(chunks: Iterable[str]) -> Iterator[str]:
-    r"""The text that ``chunks`` spell, as blocks that end just after a
-    ``\n``, or at the end of the text.
+def _blocks(chunks: Iterable[str | bytes]) -> Iterator[str]:
+    r"""The text of ``chunks`` up to the first empty one, as blocks that
+    end just after a ``\n``, or at the end of the text.
 
-    Each chunk is cut after its last ``\n``; what follows waits for the
-    next chunk.  Chunks with no ``\n`` are collected and joined once, so
-    a long line costs time linear in its length.
+    A str chunk is taken as it is, and a bytes chunk decoded as UTF-8,
+    with undecodable bytes replaced as bytes.decode does it, by one
+    incremental decoder, so a character whose bytes two chunks split
+    comes out whole.  A chunk of any other type, such as None, raises
+    TypeError.  Each piece of text is cut after its last ``\n``; what
+    follows waits for the next piece.  Pieces with no ``\n`` are
+    collected and joined once, so a long line costs time linear in its
+    length.
     """
-    pending: list[str] = []
-    for chunk in chunks:
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            pending.append(chunk[:cut])
-            yield "".join(pending)
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    tail = "".join(pending)
-    if tail:
-        yield tail
-
-
-def _text(chunks: Iterable[str | bytes]) -> Iterator[str]:
-    """The text of chunks up to the first empty one: a str chunk as it
-    is, and a bytes chunk decoded as UTF-8, with undecodable bytes
-    replaced as bytes.decode does it, by one incremental decoder, so a
-    character whose bytes two chunks split comes out whole.  A chunk of
-    any other type, such as None, raises TypeError."""
     decode = codecs.getincrementaldecoder("utf-8")("replace").decode
+    pending: list[str] = []
     for chunk in chunks:
         text = chunk if isinstance(chunk, str) else decode(chunk)
         if not chunk:
             break
-        yield text
-    yield decode(b"", True)
+        cut = text.rfind("\n") + 1
+        if cut:
+            pending.append(text[:cut])
+            yield "".join(pending)
+            pending = [text[cut:]]
+        else:
+            pending.append(text)
+    pending.append(decode(b"", True))
+    tail = "".join(pending)
+    if tail:
+        yield tail
 
 
 class _Parse:
     """One parse in progress: the problem line's counts, the neighbor
     lists, the table of vertex ids, the lines read so far and, while
     every edge line so far came in order, the last one's 1-based ids
-    (None once one did not).
+    (None once one did not).  Only the order of edge lines counts:
+    comment and blank lines between them leave it alone.
 
     ``ids[x]`` is vertex x - 1, for each 1-based id x up to the largest
     one read so far, so that every neighbor entry of a vertex is one
@@ -150,11 +148,11 @@ class _Parse:
 
     def read_lines(self, lines: Iterable[str]) -> None:
         """Read each line by the per-line rule, the only one that raises
-        DimacsError on a line.  It does not check the order of edge
-        lines, so an edge line read here marks the parse as unordered."""
+        DimacsError on a line, and then hand the edge lines, all checked,
+        to add_edges, which builds them as it builds a plain block's."""
         n = self.n
-        adj = self.adj
-        ids = self.ids
+        us: list[int] = []
+        vs: list[int] = []
         lineno = self.lineno
         for lineno, raw in enumerate(lines, start=lineno + 1):
             fields = raw.split()
@@ -180,12 +178,8 @@ class _Parse:
                     )
                 if u == v:
                     raise DimacsError(f"self-loop edge ({u}, {v})", lineno)
-                high = max(u, v)
-                if high >= len(ids):
-                    ids.extend(range(len(ids) - 1, high))
-                adj[u - 1].append(ids[v])
-                adj[v - 1].append(ids[u])
-                self.last = None
+                us.append(u)
+                vs.append(v)
             elif tag[0] == "c":
                 continue
             elif tag == "p":
@@ -210,9 +204,12 @@ class _Parse:
                     )
                 self.n = n
                 self.declared_m = declared_m
-                self.adj = adj = [[] for _ in range(n)]
+                self.adj = [[] for _ in range(n)]
             else:
                 raise DimacsError(f"unrecognized line type {tag!r}", lineno)
+        # Every edge was checked above, so add_edges refuses none of them.
+        if us:
+            self.add_edges(us, vs)
         self.lineno = lineno
 
     def read_block(self, block: str) -> bool:
@@ -231,8 +228,8 @@ class _Parse:
         _RUN_PROBE + 1 lines do (an O(1) probe: its first and its
         _RUN_PROBE-th first fields are equal) is first offered to
         read_runs.  Any other plain block, or one that read_runs turns
-        down, is read line by line in bulk: two int() calls, two id
-        lookups and two appends per line.
+        down, has its ids converted with two int() calls per line and
+        goes to add_edges.
         """
         lines = block.count("\n") + (not block.endswith("\n"))
         if not (
@@ -249,25 +246,32 @@ class _Parse:
         firsts = fields[1::3]
         seconds = fields[2::3]
         del fields  # before the neighbor lists grow
-        if (
+        if not (
             lines > _RUN_PROBE
             and firsts[0] == firsts[_RUN_PROBE]
             and self.read_runs(firsts, seconds)
         ):
-            self.lineno += lines
-            return True
-        try:
-            # int() takes no letter in base 10, so the ids hold no "e".
-            us = list(map(int, firsts))
-            vs = list(map(int, seconds))
-        except ValueError:
-            return False
-        del firsts, seconds
+            try:
+                # int() takes no letter in base 10, so the ids hold no "e".
+                us = list(map(int, firsts))
+                vs = list(map(int, seconds))
+            except ValueError:
+                return False
+            del firsts, seconds
+            if not self.add_edges(us, vs):
+                return False
+        self.lineno += lines
+        return True
+
+    def add_edges(self, us: list[int], vs: list[int]) -> bool:
+        """Add the edge lines (us[i], vs[i]), given by their 1-based ids,
+        to the neighbor lists: two id lookups and two appends per line.
+        Return False, having changed nothing, when an id is outside 1..n
+        or a line is a self-loop."""
         # In order: each line is (u, v) with u < v, and each pair is above
-        # the one before it, the last of the block before too.  Then no
-        # line is a self-loop, us[0] is the lowest id and max(vs) the
-        # highest.  Ids are checked before any indexing: a negative index
-        # would wrap.
+        # the one before it, the last one added before too.  Then no line
+        # is a self-loop, us[0] is the lowest id and max(vs) the highest.
+        # Ids are checked before any indexing: a negative index would wrap.
         last = self.last
         in_order = (
             last is not None
@@ -293,7 +297,6 @@ class _Parse:
         for u, v in zip(us, vs):
             adj[u].append(v)
             adj[v].append(u)
-        self.lineno += lines
         return True
 
     def read_runs(self, firsts: list[str], seconds: list[str]) -> bool:
@@ -310,21 +313,15 @@ class _Parse:
         costs one int() and one id-table lookup, and each run one
         extend of its head's neighbor list, so a neighbor list still
         gets its entries in file order.  Return False, having changed
-        nothing, for a block of more runs than a quarter of its lines,
-        which costs less line by line, and for any other block, such as
-        one with an id spelled two ways in a run (``5`` and ``05`` start
-        two runs whose heads do not rise).
+        nothing, for any other block, such as one with an id spelled
+        two ways in a run (``5`` and ``05`` start two runs whose heads
+        do not rise).
         """
         last = self.last
         if last is None:
             return False
         count = len(firsts)
         starts = [0, *compress(range(1, count), map(ne, firsts[1:], firsts))]
-        # Mostly short runs, as in a relabeled graph that opens with a
-        # hub's long run: a Python step per run costs more than the bulk
-        # path's C-level pass per line.
-        if 4 * len(starts) > count:
-            return False
         try:
             heads = list(map(int, map(firsts.__getitem__, starts)))
             vs = list(map(int, seconds))
@@ -394,27 +391,28 @@ def parse_dimacs(data: str | bytes) -> Graph:
 
     Lines up to and including the problem line are read one at a time.
     The rest of the text is read a block at a time: a block of plain
-    edge lines in bulk, any other block line by line.  Either way each
-    edge line goes straight into the neighbor lists of its two
-    endpoints, allocated at the problem line, each endpoint as the one
-    int object the parse keeps for its id.  When every edge line is
+    edge lines in bulk, any other block checked line by line.  Either
+    way the block's edge lines then go into the neighbor lists of their
+    two endpoints, allocated at the problem line, each endpoint as the
+    one int object the parse keeps for its id.  When every edge line is
     (u, v) with u < v and each pair is above the one before it, as
     write_dimacs writes them, every list is already ascending with no
     repeats, and the Graph only freezes them; otherwise it sorts, dedups
-    and freezes them.  Besides the text, a parse holds only one block's
-    lines, or its fields and ids, the table of vertex ids and the graph
-    being built.  Bytes are decoded slice by slice, as read_dimacs_file
-    decodes a binary stream.  To read a file without holding its whole
-    text, use read_dimacs_file.
+    and freezes them.  Comment and blank lines between edge lines do not
+    count against their order.  Besides the text, a parse holds only one
+    block's lines, or its fields and ids, the table of vertex ids and
+    the graph being built.  Bytes are decoded slice by slice, as
+    read_dimacs_file decodes a binary stream.  To read a file without
+    holding its whole text, use read_dimacs_file.
 
     Raises DimacsError (with the offending line number) on a missing or
     duplicate problem line, an edge line before the problem line,
     unrecognized line types, malformed numbers, a declared vertex count
     above MAX_VERTICES, out-of-range vertex ids, or self-loops.
     """
-    return _parse(_stream_blocks(_text(
+    return _parse(_blocks(
         data[i:i + _BLOCK_CHARS] for i in range(0, len(data), _BLOCK_CHARS)
-    )))
+    ))
 
 
 def write_dimacs(g: Graph, comments: tuple[str, ...] | list[str] = ()) -> str:
@@ -456,6 +454,6 @@ def read_dimacs_file(source) -> Graph:
     else:
         file = open(source, "r", encoding="utf-8", errors="replace")
     with file as fh:
-        # _text reads no further than the first empty read: a terminal's
+        # _blocks reads no further than the first empty read: a terminal's
         # stdin would wait for another end of file.
-        return _parse(_stream_blocks(_text(map(fh.read, repeat(_BLOCK_CHARS)))))
+        return _parse(_blocks(map(fh.read, repeat(_BLOCK_CHARS))))

@@ -538,7 +538,7 @@ def test_order_check_spans_block_boundaries(monkeypatch, block, kind):
     extra = f"e {u} {v}\n" if kind == "repeat" else f"e {v} {u}\n"
     text = text[:cut] + extra + text[cut:]
     pieces = (text[i:i + block] for i in range(0, len(text), block))
-    assert any(b.startswith(extra) for b in dimacs._stream_blocks(pieces))
+    assert any(b.startswith(extra) for b in dimacs._blocks(pieces))
     with pytest.warns(
         DimacsFormatWarning, match=f"declares {m + 1} edges, found {m} distinct"
     ):
@@ -546,8 +546,9 @@ def test_order_check_spans_block_boundaries(monkeypatch, block, kind):
 
 
 def test_only_ordered_input_skips_the_sort(monkeypatch):
-    # the sort-free seal is taken for lines as write_dimacs writes them,
-    # in any number of blocks, and for nothing else
+    # the sort-free seal is taken for edge lines as write_dimacs writes
+    # them, in any number of blocks and with any other lines between
+    # them, and for nothing else
     seen = []
     seal = Graph._from_neighbor_lists.__func__
 
@@ -562,12 +563,19 @@ def test_only_ordered_input_skips_the_sort(monkeypatch):
     head, body = text.split("\n", 1)
     lines = body.splitlines()
     texts = {
-        True: [text, "c header\n" + text, text.replace("\n", "\r\n")],
+        True: [
+            text,
+            "c header\n" + text,
+            text.replace("\n", "\r\n"),
+            # lines that are not edge lines leave the order alone
+            *(head + "\n" + "\n".join(lines[:100] + [odd] + lines[100:]) + "\n"
+              for odd in ("c mid", "", "\tc mid")),
+        ],
         False: [
             head + "\n" + "\n".join(lines[1:] + lines[:1]) + "\n",
             head + "\n" + "\n".join(lines[:100] + lines[99:]) + "\n",
+            head + "\n" + "\n".join(lines[:100] + ["c mid"] + lines[99:]) + "\n",
             head + "\n" + "\n".join(f"e {v} {u}" for _, u, v in map(str.split, lines)),
-            head + "\n" + "\n".join(lines[:100] + ["c mid"] + lines[100:]) + "\n",
         ],
     }
     for ordered, cases in texts.items():
@@ -684,7 +692,8 @@ def _run_shaped_texts(block: int) -> list[str]:
     come in long runs that share their first id (one run per cover
     vertex); copies of them with one line spoiled inside a run, at a
     run's first or last line, or at the start of a block of the given
-    size; and runs of ids out of range."""
+    size; a block of short runs behind a long one; and runs of ids out
+    of range."""
     rng = random.Random(2121)
     texts = [write_dimacs(gen_planted(2000, 5, 5000, 11).graph)]
     for n, k, extra in ((200, 3, 300), (90, 4, 200)):
@@ -721,7 +730,7 @@ def _run_shaped_texts(block: int) -> list[str]:
         for i in run_lasts:
             spoils.append((i, [f"e {lines[i].split()[1]} {n + 1}"]))
         # a block that starts with the line before it, or reversed
-        sizes = [len(b) for b in dimacs._stream_blocks(
+        sizes = [len(b) for b in dimacs._blocks(
             text[j:j + block] for j in range(0, len(text), block))]
         if len(sizes) > 2:
             cut = text.count("\n", 0, sizes[0] + sizes[1]) - 1  # block 3's first line
@@ -730,7 +739,13 @@ def _run_shaped_texts(block: int) -> list[str]:
                        (cut, [f"e {v} {u}", lines[cut]])]
         texts += ["\n".join([head, *lines[:i], *spoiled, *lines[i + 1:]]) + "\n"
                   for i, spoiled in spoils]
+    # a sorted block that opens with one hub's run of 20 lines, and goes
+    # on in runs of one or two lines, as a relabeled graph can
+    edges = [(1, v) for v in range(2, 22)]
+    for u in range(22, 200):
+        edges += [(u, u + 1), (u, u + 2)] if u % 2 else [(u, u + 1)]
     texts += [
+        f"p edge 201 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges),
         "p edge 20 19\n" + "".join(f"e 0 {v}\n" for v in range(1, 20)),
         "p edge 20 19\n" + "".join(f"e -1 {v}\n" for v in range(1, 20)),
         "p edge 19 19\n" + "".join(f"e 1 {v}\n" for v in range(2, 21)),
@@ -789,14 +804,3 @@ def test_runs_read_sorted_planted_text_and_spare_relabeled_text(monkeypatch):
             taken = _edge_blocks_by_runs(monkeypatch, write_dimacs(g))
             assert taken and set(taken) == {None}, (n, k, seed)
 
-
-def test_runs_spare_a_block_of_short_runs_behind_a_long_one(monkeypatch):
-    # a sorted block that opens with one hub's run of 20 lines passes the
-    # probe, but goes on in runs of one or two lines, as a relabeled graph
-    # can: read_runs turns it down and it is read line by line in bulk
-    edges = [(1, v) for v in range(2, 22)]
-    for u in range(22, 200):
-        edges += [(u, u + 1), (u, u + 2)] if u % 2 else [(u, u + 1)]
-    text = f"p edge 201 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
-    assert _edge_blocks_by_runs(monkeypatch, text) == [False]
-    assert parse_dimacs(text) == _reference_parse(text)
